@@ -88,6 +88,35 @@ void BM_IsopFactor(benchmark::State& state) {
 }
 BENCHMARK(BM_IsopFactor);
 
+/// ISOP alone (both phases, as refactoring calls it) on registry cone
+/// functions of exactly `state.range(0)` variables: the cones c5315's
+/// reconvergence-driven cuts produce at that leaf cap.
+void BM_IsopCones(benchmark::State& state) {
+    const auto nv = static_cast<unsigned>(state.range(0));
+    static const bg::aig::Aig g = bg::circuits::make_benchmark("c5315");
+    std::vector<bg::tt::TruthTable> cones;
+    for (const auto v : g.topo_ands()) {
+        const auto leaves = bg::cut::reconv_cut(g, v, nv);
+        if (leaves.size() == nv) {
+            cones.push_back(bg::cut::cone_function(g, v, leaves));
+        }
+    }
+    if (cones.empty()) {
+        state.SkipWithError("no cone of that width");
+        return;
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        bool complemented = false;
+        const auto sop =
+            bg::tt::isop_best_phase(cones[i % cones.size()], complemented);
+        benchmark::DoNotOptimize(sop.num_cubes());
+        ++i;
+    }
+    state.counters["cones"] = static_cast<double>(cones.size());
+}
+BENCHMARK(BM_IsopCones)->Arg(6)->Arg(8)->Arg(10)->Arg(14);
+
 void BM_RewriteLibLookup(benchmark::State& state) {
     auto& lib = bg::opt::RewriteLibrary::instance();
     std::uint16_t f = 0;

@@ -2,6 +2,6 @@
 
 namespace bg::aig::audit::detail {
 
-thread_local ShadowSet* active_shadow = nullptr;
+constinit thread_local ShadowSet* active_shadow = nullptr;
 
 }  // namespace bg::aig::audit::detail

@@ -70,7 +70,8 @@ struct ShadowSet {
 namespace detail {
 /// The active shadow recorder of the current thread, or nullptr (every
 /// non-audited computation, and every thread in normal builds).
-extern thread_local ShadowSet* active_shadow;
+/// Constant-initialized, like `active_footprint`.
+extern constinit thread_local ShadowSet* active_shadow;
 }  // namespace detail
 
 /// Report that the running computation actually read aspect `k` of `v`.

@@ -2,6 +2,6 @@
 
 namespace bg::aig::detail {
 
-thread_local ReadFootprint* active_footprint = nullptr;
+constinit thread_local ReadFootprint* active_footprint = nullptr;
 
 }  // namespace bg::aig::detail

@@ -57,8 +57,10 @@ struct ReadFootprint {
 
 namespace detail {
 /// The active recorder of the current thread, or nullptr (the common
-/// case: nothing is being speculated on this thread).
-extern thread_local ReadFootprint* active_footprint;
+/// case: nothing is being speculated on this thread).  `constinit` tells
+/// every includer that it needs no dynamic initialization, so reads are
+/// a plain TLS load rather than a call through a TLS wrapper function.
+extern constinit thread_local ReadFootprint* active_footprint;
 }  // namespace detail
 
 /// Record that the running computation read aspect `k` of var `v`.

@@ -41,6 +41,18 @@ BddManager::Ref BddManager::var(unsigned i) {
 }
 
 BddManager::Ref BddManager::ite(Ref f, Ref g, Ref h) {
+    // Bound the memo between operations, never inside one: a clear in
+    // the middle of a recursion would recompute its shared subproblems,
+    // while a clear here only drops reuse across operations.  Node ids
+    // do not depend on it (a recomputed ITE finds every node it needs in
+    // the unique table).
+    if (ite_cache_.size() >= node_limit_ / 4) {
+        ite_cache_.clear();
+    }
+    return ite_rec(f, g, h);
+}
+
+BddManager::Ref BddManager::ite_rec(Ref f, Ref g, Ref h) {
     // Terminal cases.
     if (f == bdd_true) {
         return g;
@@ -61,6 +73,9 @@ BddManager::Ref BddManager::ite(Ref f, Ref g, Ref h) {
         return it->second;
     }
 
+    if (interrupt_ && (++expansions_ & 4095U) == 0 && interrupt_()) {
+        throw BddInterrupted();
+    }
     const unsigned v = std::min({top_var(f), top_var(g), top_var(h)});
     const auto cof = [&](Ref x, bool hi) {
         if (top_var(x) != v) {
@@ -68,8 +83,8 @@ BddManager::Ref BddManager::ite(Ref f, Ref g, Ref h) {
         }
         return hi ? nodes_[x].high : nodes_[x].low;
     };
-    const Ref hi = ite(cof(f, true), cof(g, true), cof(h, true));
-    const Ref lo = ite(cof(f, false), cof(g, false), cof(h, false));
+    const Ref hi = ite_rec(cof(f, true), cof(g, true), cof(h, true));
+    const Ref lo = ite_rec(cof(f, false), cof(g, false), cof(h, false));
     const Ref r = make_node(v, lo, hi);
     ite_cache_.emplace(key, r);
     return r;

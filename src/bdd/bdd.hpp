@@ -8,6 +8,7 @@
 /// checking a pointer comparison once the diagrams are built.
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -22,6 +23,13 @@ public:
     explicit BddOverflow(std::size_t limit)
         : std::runtime_error("BDD node limit exceeded (" +
                              std::to_string(limit) + ")") {}
+};
+
+/// Thrown out of a running operation when the manager's interrupt hook
+/// fires (see BddManager::set_interrupt).
+class BddInterrupted : public std::runtime_error {
+public:
+    BddInterrupted() : std::runtime_error("BDD operation interrupted") {}
 };
 
 class BddManager {
@@ -41,8 +49,19 @@ public:
     Ref var(unsigned i);
     Ref nvar(unsigned i) { return not_(var(i)); }
 
-    /// if f then g else h — the universal connective.
+    /// if f then g else h — the universal connective.  The ITE memo is
+    /// cleared before an operation once it holds node_limit / 4 entries;
+    /// unbounded, it was most of a blown-up manager's memory.
     Ref ite(Ref f, Ref g, Ref h);
+
+    /// Poll `stop` every 4096 ITE expansions; once it returns true, the
+    /// running operation throws BddInterrupted.  A single operation on a
+    /// blown-up diagram can run for seconds, so callers that must give
+    /// up promptly (a losing portfolio engine) need a poll this fine.
+    /// The manager stays consistent, but the interrupted result is lost.
+    void set_interrupt(std::function<bool()> stop) {
+        interrupt_ = std::move(stop);
+    }
 
     Ref and_(Ref a, Ref b) { return ite(a, b, bdd_false); }
     Ref or_(Ref a, Ref b) { return ite(a, bdd_true, b); }
@@ -74,6 +93,7 @@ private:
         Ref high = 0;
     };
 
+    Ref ite_rec(Ref f, Ref g, Ref h);
     Ref make_node(unsigned v, Ref low, Ref high);
     unsigned top_var(Ref f) const { return nodes_[f].var; }
 
@@ -83,6 +103,8 @@ private:
     std::unordered_map<std::uint64_t, Ref> unique_;
     std::unordered_map<std::uint64_t, Ref> ite_cache_;
     std::unordered_map<Ref, double> count_cache_;
+    std::function<bool()> interrupt_;
+    std::uint32_t expansions_ = 0;
 };
 
 }  // namespace bg::bdd

@@ -6,20 +6,8 @@
 
 namespace bg::bdd {
 
-namespace {
-
-/// Internal unwind for a cancelled/timed-out build; never escapes this
-/// translation unit.
-struct BddCancelled {};
-
-/// As build_po_bdds, polling `stop` every 64 AND gates so a losing BDD
-/// build can be abandoned quickly: single ITE calls on a blown-up
-/// diagram dominate the build tail, so a coarse poll would let a
-/// cancelled build run long after another engine already won the race.
-template <typename StopFn>
-std::vector<BddManager::Ref> build_po_bdds_cancellable(BddManager& mgr,
-                                                       const aig::Aig& g,
-                                                       StopFn&& stop) {
+std::vector<BddManager::Ref> build_po_bdds(BddManager& mgr,
+                                           const aig::Aig& g) {
     BG_EXPECTS(mgr.num_vars() >= g.num_pis(),
                "manager must have one variable per PI");
     std::vector<BddManager::Ref> node_bdd(g.num_slots(),
@@ -35,11 +23,7 @@ std::vector<BddManager::Ref> build_po_bdds_cancellable(BddManager& mgr,
         const auto r = node_bdd[f.index()];
         return f.complemented() ? mgr.not_(r) : r;
     };
-    std::size_t gates = 0;
     for (const aig::Var v : g.topo_ands()) {
-        if ((++gates & 63U) == 0 && stop()) {
-            throw BddCancelled{};
-        }
         const auto [f0, f1] = g.fanin_refs(v);
         node_bdd[v] = mgr.and_(ref_bdd(f0), ref_bdd(f1));
     }
@@ -49,13 +33,6 @@ std::vector<BddManager::Ref> build_po_bdds_cancellable(BddManager& mgr,
         pos.push_back(lit_bdd(po));
     }
     return pos;
-}
-
-}  // namespace
-
-std::vector<BddManager::Ref> build_po_bdds(BddManager& mgr,
-                                           const aig::Aig& g) {
-    return build_po_bdds_cancellable(mgr, g, [] { return false; });
 }
 
 BddCecResult check_equivalence_bdd_full(const aig::Aig& a, const aig::Aig& b,
@@ -81,14 +58,18 @@ BddCecResult check_equivalence_bdd_full(const aig::Aig& a, const aig::Aig& b,
     BddCecResult res;
     if (stop()) {
         // Pre-cancelled (e.g. another portfolio engine already won): the
-        // in-build poll only fires every 256 gates, so small designs need
-        // this upfront check to degrade deterministically.
+        // interrupt hook fires only every 4096 ITE expansions, so small
+        // designs need this upfront check to degrade deterministically.
         return res;
     }
     try {
         BddManager mgr(static_cast<unsigned>(a.num_pis()), opts.node_limit);
-        const auto pa = build_po_bdds_cancellable(mgr, a, stop);
-        const auto pb = build_po_bdds_cancellable(mgr, b, stop);
+        // The hook polls inside ITE calls: one AND on a blown-up diagram
+        // can run for seconds, so a per-gate poll would let a losing
+        // build run on long after another engine won the race.
+        mgr.set_interrupt(stop);
+        const auto pa = build_po_bdds(mgr, a);
+        const auto pb = build_po_bdds(mgr, b);
         for (std::size_t i = 0; i < pa.size(); ++i) {
             if (pa[i] != pb[i]) {  // canonical forms
                 res.verdict = aig::CecVerdict::NotEquivalent;
@@ -97,6 +78,8 @@ BddCecResult check_equivalence_bdd_full(const aig::Aig& a, const aig::Aig& b,
                         mgr.find_satisfying(mgr.xor_(pa[i], pb[i]));
                 } catch (const BddOverflow&) {
                     // Witness lost, verdict unaffected.
+                } catch (const BddInterrupted&) {
+                    // Likewise.
                 }
                 return res;
             }
@@ -105,7 +88,7 @@ BddCecResult check_equivalence_bdd_full(const aig::Aig& a, const aig::Aig& b,
         return res;
     } catch (const BddOverflow&) {
         return res;
-    } catch (const BddCancelled&) {
+    } catch (const BddInterrupted&) {
         return res;
     }
 }

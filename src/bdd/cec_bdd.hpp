@@ -23,7 +23,7 @@ std::vector<BddManager::Ref> build_po_bdds(BddManager& mgr,
 
 struct BddCecOptions {
     std::size_t node_limit = 2'000'000;
-    /// Cooperative cancellation: polled every few dozen AND gates while
+    /// Cooperative cancellation: polled every 4096 ITE expansions while
     /// the diagrams are built; a set flag degrades the verdict to
     /// ProbablyEquivalent.  Must outlive the call.
     const std::atomic<bool>* cancel = nullptr;

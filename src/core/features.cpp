@@ -33,13 +33,19 @@ void compute_static_row(const Aig& g, Var v, const opt::OptParams& params,
 }
 
 StaticFeatures compute_static_features(const Aig& g,
-                                       const opt::OptParams& params) {
+                                       const opt::OptParams& params,
+                                       ThreadPool* pool) {
     params.validate();
     StaticFeatures rows(g.num_slots());
     // The three checks are read-only, so per-node work parallelizes.
-    bg::parallel_for(g.num_slots(), [&](std::size_t i) {
+    const auto row = [&](std::size_t i) {
         compute_static_row(g, static_cast<Var>(i), params, rows[i]);
-    });
+    };
+    if (pool != nullptr) {
+        pool->for_each(g.num_slots(), row);
+    } else {
+        bg::parallel_for(g.num_slots(), row);
+    }
     return rows;
 }
 

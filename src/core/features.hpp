@@ -43,9 +43,12 @@ using StaticFeatures = std::vector<std::array<float, static_dim>>;
 using DynamicFeatures = std::vector<std::array<float, dynamic_dim>>;
 
 /// Compute static features; runs the three read-only transformability
-/// checks at every AND node (the dominant cost, cached per design).
+/// checks at every AND node (the dominant cost, cached per design).  The
+/// per-node checks run on `pool` when given (nesting-safe inside pool
+/// jobs), else on freshly spawned threads.  Rows are identical either way.
 StaticFeatures compute_static_features(const aig::Aig& g,
-                                       const opt::OptParams& params = {});
+                                       const opt::OptParams& params = {},
+                                       ThreadPool* pool = nullptr);
 
 /// One row of the above — the per-node unit incremental maintenance
 /// (core/feature_cache.hpp) recomputes for dirty vars.  Thread-safe for

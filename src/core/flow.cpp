@@ -215,7 +215,7 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
         st_src = &ctx.feature_cache->features();
     }
     if (st_src == nullptr) {
-        st_local = compute_static_features(design, cfg.opt);
+        st_local = compute_static_features(design, cfg.opt, ctx.pool);
         st_src = &st_local;
     }
     const StaticFeatures& st = *st_src;

@@ -73,7 +73,7 @@ DesignFlowResult run_design_flow(const DesignJob& job,
             }
             ctx.feature_cache = &cache;
         } else {
-            st = compute_static_features(current, round_cfg.opt);
+            st = compute_static_features(current, round_cfg.opt, pool);
             csr = build_csr(current);
             ctx.static_features = &st;
             ctx.csr = &csr;

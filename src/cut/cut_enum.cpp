@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "aig/footprint.hpp"
+#include "tt/word_ops.hpp"
 #include "util/contracts.hpp"
 
 namespace bg::cut {
@@ -142,24 +143,31 @@ std::vector<Var> reconv_cut(const Aig& g, Var root, unsigned max_leaves) {
     return leaves;
 }
 
-// bg-lint: allow(container): window-sized value-returned map (see header)
-std::unordered_map<Var, TruthTable> cone_functions(
-    const Aig& g, Var root, std::span<const Var> leaves) {
+void ConeWindow::build(const Aig& g, Var root,
+                       std::span<const Var> leaves) {
     BG_EXPECTS(leaves.size() <= 16, "cone function capped at 16 leaves");
-    const unsigned nv = static_cast<unsigned>(leaves.size());
-    // bg-lint: allow(container): window-sized value-returned map
-    std::unordered_map<Var, TruthTable> fn;
-    fn.reserve(leaves.size() * 4);
-    for (unsigned i = 0; i < nv; ++i) {
-        fn.emplace(leaves[i], TruthTable::nth_var(nv, i));
+    num_vars_ = static_cast<unsigned>(leaves.size());
+    words_ = tt::words::word_count(num_vars_);
+    vars_.clear();
+    table_.clear();
+    index_.reset(g.num_slots());
+    for (unsigned i = 0; i < num_vars_; ++i) {
+        index_.slot(leaves[i]) = static_cast<std::uint32_t>(vars_.size());
+        vars_.push_back(leaves[i]);
+        // The projection x_i, as TruthTable::nth_var lays it out.
+        for (std::size_t w = 0; w < words_; ++w) {
+            const bool high = i >= 6 && ((w >> (i - 6)) & 1U) != 0;
+            table_.push_back(i < 6 ? ~tt::words::var0_mask[i]
+                                   : (high ? ~0ULL : 0ULL));
+        }
     }
     // Iterative post-order evaluation from the root.
     aig::fp_touch(root, aig::Read::Struct);
-    std::vector<Var> stack{root};
-    while (!stack.empty()) {
-        const Var v = stack.back();
-        if (fn.contains(v)) {
-            stack.pop_back();
+    stack_.assign(1, root);
+    while (!stack_.empty()) {
+        const Var v = stack_.back();
+        if (index_.contains(v)) {
+            stack_.pop_back();
             continue;
         }
         BG_ASSERT(g.is_and(v),
@@ -170,32 +178,49 @@ std::unordered_map<Var, TruthTable> cone_functions(
         const Var u1 = f1.index();
         aig::fp_touch(u0, aig::Read::Struct);
         aig::fp_touch(u1, aig::Read::Struct);
-        const bool need0 = u0 != 0 && !fn.contains(u0);
-        const bool need1 = u1 != 0 && !fn.contains(u1);
+        const bool need0 = u0 != 0 && !index_.contains(u0);
+        const bool need1 = u1 != 0 && !index_.contains(u1);
         if (need0) {
-            stack.push_back(u0);
+            stack_.push_back(u0);
         }
         if (need1) {
-            stack.push_back(u1);
+            stack_.push_back(u1);
         }
         if (need0 || need1) {
             continue;
         }
-        stack.pop_back();
-        const auto value_of = [&](aig::NodeRef r) {
-            const Var u = r.index();
-            TruthTable t =
-                u == 0 ? TruthTable::zeros(nv) : fn.at(u);
-            return r.complemented() ? ~t : t;
-        };
-        fn.emplace(v, value_of(f0) & value_of(f1));
+        stack_.pop_back();
+        add_and(v, f0, f1);
     }
-    return fn;
+}
+
+void ConeWindow::add_and(Var v, aig::NodeRef f0, aig::NodeRef f1) {
+    const std::size_t e = vars_.size();
+    index_.slot(v) = static_cast<std::uint32_t>(e);
+    vars_.push_back(v);
+    table_.resize(table_.size() + words_);
+    // The constant var is never an entry: it reads as all-zero words.
+    const auto word = [&](aig::NodeRef r, std::size_t w) -> std::uint64_t {
+        const std::uint64_t x =
+            r.index() == 0 ? 0 : table_[index_.at(r.index()) * words_ + w];
+        return r.complemented() ? ~x : x;
+    };
+    for (std::size_t w = 0; w < words_; ++w) {
+        table_[e * words_ + w] = word(f0, w) & word(f1, w);
+    }
+}
+
+TruthTable ConeWindow::to_tt(std::size_t e) const {
+    TruthTable t(num_vars_);
+    std::copy_n(function(e), words_, t.words().begin());
+    return t;
 }
 
 TruthTable cone_function(const Aig& g, Var root,
                          std::span<const Var> leaves) {
-    return cone_functions(g, root, leaves).at(root);
+    thread_local ConeWindow window;
+    window.build(g, root, leaves);
+    return window.to_tt(window.index(root));
 }
 
 }  // namespace bg::cut

@@ -5,10 +5,12 @@
 /// consumes 4-feasible cuts; refactoring and resubstitution consume one
 /// reconvergence-driven cut per node (ABC's Abc_NodeFindCut heuristic).
 
-#include <unordered_map>  // bg-lint: allow(container): cone_functions API
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "aig/aig.hpp"
+#include "aig/visited.hpp"
 #include "tt/truth_table.hpp"
 
 namespace bg::cut {
@@ -40,11 +42,44 @@ tt::TruthTable cone_function(const aig::Aig& g, aig::Var root,
                              std::span<const aig::Var> leaves);
 
 /// Truth tables of every node in the cone of `root` bounded by `leaves`
-/// (inclusive of leaves and root), over the leaf variables.  The map is
-/// window-sized (tens of entries) and returned by value; a flat
-/// epoch-stamped alternative would need num_slots-sized scratch per walk.
-// bg-lint: allow(container): window-sized value-returned map
-std::unordered_map<aig::Var, tt::TruthTable> cone_functions(
-    const aig::Aig& g, aig::Var root, std::span<const aig::Var> leaves);
+/// (inclusive of leaves and root), over the leaf variables, packed into
+/// one flat word table: entry e holds var(e)'s function in words
+/// [e * words(), (e + 1) * words()).  A window is reusable scratch:
+/// build() starts over with an epoch-stamped var -> entry index, so a
+/// thread_local instance walks windows without allocating once warm.
+class ConeWindow {
+public:
+    /// Replace the contents with the cone of `root` bounded by `leaves`
+    /// (at most 16).  Every path from root to a PI must cross a leaf;
+    /// violations throw.
+    void build(const aig::Aig& g, aig::Var root,
+               std::span<const aig::Var> leaves);
+
+    /// Words per function.
+    std::size_t words() const { return words_; }
+    /// Number of entries.
+    std::size_t size() const { return vars_.size(); }
+    aig::Var var(std::size_t e) const { return vars_[e]; }
+    bool contains(aig::Var v) const { return index_.contains(v); }
+    /// Entry of `v`; `v` must be contained.
+    std::size_t index(aig::Var v) const { return index_.at(v); }
+    /// Entry e's words.  Valid until the next add_and() or build().
+    const std::uint64_t* function(std::size_t e) const {
+        return &table_[e * words_];
+    }
+    tt::TruthTable to_tt(std::size_t e) const;
+
+    /// Append `v` = f0 & f1 as a new entry; its fanin vars must be
+    /// contained.
+    void add_and(aig::Var v, aig::NodeRef f0, aig::NodeRef f1);
+
+private:
+    unsigned num_vars_ = 0;
+    std::size_t words_ = 1;
+    std::vector<aig::Var> vars_;
+    std::vector<std::uint64_t> table_;
+    aig::EpochMap<std::uint32_t> index_;
+    std::vector<aig::Var> stack_;
+};
 
 }  // namespace bg::cut

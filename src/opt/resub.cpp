@@ -19,7 +19,6 @@ namespace bg::opt {
 using aig::Aig;
 using aig::Lit;
 using aig::Var;
-using tt::TruthTable;
 
 namespace {
 
@@ -55,7 +54,10 @@ CheckResult check_resub(const Aig& g, Var v, const OptParams& params) {
     if (leaves.size() < 2) {
         return {};
     }
-    auto fns = cut::cone_functions(g, v, leaves);
+    // The window's functions, in one flat table that divisor expansion
+    // appends to; thread_local keeps concurrent checks independent.
+    thread_local cut::ConeWindow win;
+    win.build(g, v, leaves);
     const MffcResult dying = mffc(g, v, leaves);
     thread_local aig::EpochMarks dying_set;
     dying_set.reset(g.num_slots());
@@ -66,7 +68,8 @@ CheckResult check_resub(const Aig& g, Var v, const OptParams& params) {
     // Divisors: window nodes outside the dying cone, plus side nodes whose
     // support lies inside the window and that are not in the root's TFO.
     std::vector<Var> divisors;
-    for (const auto& [var, fn] : fns) {
+    for (std::size_t e = 0; e < win.size(); ++e) {
+        const Var var = win.var(e);
         if (var != v && !dying_set.test(var)) {
             divisors.push_back(var);
         }
@@ -83,19 +86,14 @@ CheckResult check_resub(const Aig& g, Var v, const OptParams& params) {
             aig::fp_touch(d, aig::Read::Fanout);  // scans d's fanout list
             for (const Var w : g.fanouts(d)) {
                 aig::fp_touch(w, aig::Read::Struct);  // reads w's fanins
-                if (fns.contains(w) || tfo.test(w) ||
-                    dying_set.test(w)) {
+                if (win.contains(w) || tfo.test(w) || dying_set.test(w)) {
                     continue;
                 }
                 const auto [f0, f1] = g.fanin_refs(w);
-                if (!fns.contains(f0.index()) || !fns.contains(f1.index())) {
+                if (!win.contains(f0.index()) || !win.contains(f1.index())) {
                     continue;
                 }
-                const auto val = [&](aig::NodeRef r) {
-                    const auto t = fns.at(r.index());
-                    return r.complemented() ? ~t : t;
-                };
-                fns.emplace(w, val(f0) & val(f1));
+                win.add_and(w, f0, f1);
                 divisors.push_back(w);
                 grew = true;
                 if (divisors.size() >= params.resub_max_divisors) {
@@ -108,7 +106,6 @@ CheckResult check_resub(const Aig& g, Var v, const OptParams& params) {
         }
     }
 
-    const TruthTable& target = fns.at(v);
     const int saved = dying.size();
     const int min_gain = params.allow_zero_gain ? 0 : 1;
 
@@ -127,19 +124,42 @@ CheckResult check_resub(const Aig& g, Var v, const OptParams& params) {
         }
     };
 
-    // Flatten the divisor functions into contiguous word buffers so the
-    // pair/triple matching loops below run without heap allocation (this
-    // is the hot path of the whole library).
-    const std::size_t words = target.num_words();
+    // The window table is final now, so the matching loops below read the
+    // divisor words in place, without heap allocation (this is the hot
+    // path of the whole library).
+    const std::size_t words = win.words();
     const std::size_t nd = divisors.size();
-    std::vector<std::uint64_t> div_words(nd * words);
+    thread_local std::vector<std::size_t> div_entry;
+    div_entry.resize(nd);
     for (std::size_t i = 0; i < nd; ++i) {
-        const auto& w = fns.at(divisors[i]).words();
-        std::copy(w.begin(), w.end(), div_words.begin() +
-                                          static_cast<std::ptrdiff_t>(i * words));
+        div_entry[i] = win.index(divisors[i]);
     }
-    const std::uint64_t* tgt = target.words().data();
-    const auto dw = [&](std::size_t i) { return &div_words[i * words]; };
+    const std::uint64_t* tgt = win.function(win.index(v));
+    const auto dw = [&](std::size_t i) { return win.function(div_entry[i]); };
+
+    // Cover pre-filter.  (d ^ p) & rest can equal the target only if d ^ p
+    // covers the target, and its complement only if d ^ p covers that.
+    // cover[2i + p] holds bit 0 for the first case and bit 1 for the
+    // second; operands sharing no bit cannot match, so the word loops are
+    // skipped for them.
+    thread_local std::vector<std::uint8_t> cover;
+    cover.assign(2 * nd, 0);
+    for (std::size_t i = 0; i < nd; ++i) {
+        bool t_in_d = true;    // t implies d
+        bool nt_in_d = true;   // ~t implies d
+        bool t_in_nd = true;   // t implies ~d
+        bool nt_in_nd = true;  // ~t implies ~d
+        for (std::size_t w = 0; w < words; ++w) {
+            const std::uint64_t d = dw(i)[w];
+            t_in_d &= (tgt[w] & ~d) == 0;
+            nt_in_d &= (~tgt[w] & ~d) == 0;
+            t_in_nd &= (tgt[w] & d) == 0;
+            nt_in_nd &= (~tgt[w] & d) == 0;
+        }
+        cover[2 * i] = static_cast<std::uint8_t>(t_in_d | (nt_in_d << 1));
+        cover[2 * i + 1] =
+            static_cast<std::uint8_t>(t_in_nd | (nt_in_nd << 1));
+    }
 
     // match: value == target (r=+1), == ~target (r=-1), else 0; where
     // value[w] = (a[w]^ca) & (b[w]^cb)  [cb2/c used for the 3-input forms].
@@ -207,6 +227,10 @@ CheckResult check_resub(const Aig& g, Var v, const OptParams& params) {
     for (std::size_t i = 0; i < nd; ++i) {
         for (std::size_t j = i + 1; j < nd; ++j) {
             for (unsigned pol = 0; pol < 4; ++pol) {
+                if ((cover[2 * i + (pol & 1U)] &
+                     cover[2 * j + ((pol >> 1) & 1U)]) == 0) {
+                    continue;
+                }
                 const int m = match2(dw(i), cmask[pol & 1U], dw(j),
                                      cmask[(pol >> 1) & 1U]);
                 if (m == 0) {
@@ -234,16 +258,34 @@ CheckResult check_resub(const Aig& g, Var v, const OptParams& params) {
     // target == (d1^p1 & (d2^p2 & d3^p3)) ^ q      (3-input AND)
     // target == (d1^p1 & (d2^p2 | d3^p3)) ^ q      (AND-OR)
     // Budgeted: windows are small, but the cube of divisors is not.
+    // Every (i, j, k, pol) tuple costs one unit of budget, whether or not
+    // the pre-filter lets it reach the word loops.
     std::size_t budget = 20000;
     for (std::size_t i = 0; i < nd && budget > 0; ++i) {
+        if ((cover[2 * i] | cover[2 * i + 1]) == 0) {
+            // No tuple with outer operand i can match: spend its budget.
+            const std::size_t rest = nd - i - 1;
+            budget -= std::min(budget, 8 * (rest * (rest - 1) / 2));
+            continue;
+        }
         for (std::size_t j = i + 1; j < nd && budget > 0; ++j) {
             for (std::size_t k = j + 1; k < nd && budget > 0; ++k) {
                 for (unsigned pol = 0; pol < 8 && budget > 0; ++pol) {
                     --budget;
+                    const std::uint8_t outer = cover[2 * i + (pol & 1U)];
+                    if (outer == 0) {
+                        continue;
+                    }
+                    const std::uint8_t inner_and =
+                        outer & cover[2 * j + ((pol >> 1) & 1U)] &
+                        cover[2 * k + ((pol >> 2) & 1U)];
                     const std::uint64_t ca = cmask[pol & 1U];
                     const std::uint64_t cb = cmask[(pol >> 1) & 1U];
                     const std::uint64_t cc = cmask[(pol >> 2) & 1U];
                     for (const bool inner_or : {false, true}) {
+                        if (!inner_or && inner_and == 0) {
+                            continue;
+                        }
                         const int m = match3(dw(i), ca, dw(j), cb, dw(k), cc,
                                              inner_or);
                         if (m == 0) {

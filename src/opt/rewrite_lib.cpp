@@ -111,16 +111,38 @@ std::uint16_t RewriteLibrary::evaluate(const Structure& s) {
     return resolve(s.out);
 }
 
-RewriteLibrary& RewriteLibrary::instance() {
-    // One library per thread: the memo tables are not synchronized, and a
-    // per-thread rebuild costs little (222 canonical classes).
-    static thread_local RewriteLibrary lib;
-    return lib;
+RewriteLibrary::RewriteLibrary()
+    : slots_(std::make_unique<Slot[]>(num_functions)) {}
+
+RewriteLibrary::~RewriteLibrary() {
+    for (std::size_t f = 0; f < num_functions; ++f) {
+        delete slots_[f].mapped.load(std::memory_order_relaxed);
+        delete slots_[f].decomposed.load(std::memory_order_relaxed);
+    }
 }
 
-RewriteLibrary::Structure RewriteLibrary::decompose(std::uint16_t f) {
-    if (const auto it = decomp_cache_.find(f); it != decomp_cache_.end()) {
-        return it->second;
+RewriteLibrary& RewriteLibrary::instance() {
+    static RewriteLibrary* const lib = new RewriteLibrary();
+    return *lib;
+}
+
+const RewriteLibrary::Structure& RewriteLibrary::publish(
+    std::atomic<const Structure*>& slot, Structure s, bool* won) {
+    auto owned = std::make_unique<const Structure>(std::move(s));
+    const Structure* held = nullptr;
+    const bool first = slot.compare_exchange_strong(
+        held, owned.get(), std::memory_order_acq_rel,
+        std::memory_order_acquire);
+    if (won != nullptr) {
+        *won = first;
+    }
+    return first ? *owned.release() : *held;
+}
+
+const RewriteLibrary::Structure& RewriteLibrary::decompose(std::uint16_t f) {
+    auto& slot = slots_[f].decomposed;
+    if (const Structure* memo = slot.load(std::memory_order_acquire)) {
+        return *memo;
     }
     Structure best;
     bool have_best = false;
@@ -135,16 +157,14 @@ RewriteLibrary::Structure RewriteLibrary::decompose(std::uint16_t f) {
     if (f == 0x0000 || f == 0xFFFF) {
         Structure s;
         s.out = f == 0x0000 ? 0U : 1U;
-        decomp_cache_.emplace(f, s);
-        return s;
+        return publish(slot, std::move(s));
     }
     for (unsigned i = 0; i < 4; ++i) {
         if (f == proj[i] ||
             f == static_cast<std::uint16_t>(~proj[i])) {
             Structure s;
             s.out = Candidate::operand_lit(i, f != proj[i]);
-            decomp_cache_.emplace(f, s);
-            return s;
+            return publish(slot, std::move(s));
         }
     }
 
@@ -192,21 +212,23 @@ RewriteLibrary::Structure RewriteLibrary::decompose(std::uint16_t f) {
 
     BG_ASSERT(have_best, "decomposition must yield at least one structure");
     BG_ASSERT(evaluate(best) == f, "decomposed structure mis-evaluates");
-    decomp_cache_.emplace(f, best);
-    return best;
+    return publish(slot, std::move(best));
 }
 
 const RewriteLibrary::Structure& RewriteLibrary::structure_for(
     std::uint16_t func) {
-    if (const auto it = cache_.find(func); it != cache_.end()) {
-        return it->second;
+    auto& slot = slots_[func].mapped;
+    if (const Structure* cached = slot.load(std::memory_order_acquire)) {
+        return *cached;
     }
     const auto canon = tt::npn_canonize(func);
-    auto cit = canon_cache_.find(canon.canon);
-    if (cit == canon_cache_.end()) {
-        cit = canon_cache_.emplace(canon.canon, decompose(canon.canon)).first;
+    const std::uint64_t bit = 1ULL << (canon.canon & 63U);
+    if ((class_seen_[canon.canon >> 6].fetch_or(
+             bit, std::memory_order_relaxed) &
+         bit) == 0) {
+        class_count_.fetch_add(1, std::memory_order_relaxed);
     }
-    const Structure& canon_struct = cit->second;
+    const Structure& canon_struct = decompose(canon.canon);
 
     // func == npn_apply(canon, inverse(to_canon)); realizing `func` means
     // feeding canon's leaf slot j with x_{it.perm[j]} ^ it.neg_j and
@@ -238,7 +260,12 @@ const RewriteLibrary::Structure& RewriteLibrary::structure_for(
     }
     BG_ASSERT(evaluate(s) == func,
               "NPN-mapped rewrite structure mis-evaluates");
-    return cache_.emplace(func, std::move(s)).first->second;
+    bool won = false;
+    const Structure& held = publish(slot, std::move(s), &won);
+    if (won) {
+        mapped_count_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return held;
 }
 
 }  // namespace bg::opt

@@ -11,9 +11,17 @@
 /// result is mapped back through the inverse transform.  Every structure
 /// is verified by evaluation before being cached, so a transform-direction
 /// bug cannot silently corrupt a network.
+///
+/// The cache is one table of 65,536 slots indexed by the function.  A slot
+/// is published once with a compare-and-swap and read without a lock, so
+/// every thread of the process shares one library.  Two threads racing on
+/// an empty slot both build the same (deterministic) structure; the loser
+/// discards its copy.
 
+#include <array>
+#include <atomic>
 #include <cstdint>
-#include <unordered_map>  // bg-lint: allow(container): lazy NPN caches
+#include <memory>
 
 #include "opt/transform.hpp"
 
@@ -29,18 +37,27 @@ public:
         std::size_t num_gates() const { return steps.size(); }
     };
 
-    RewriteLibrary() = default;
+    RewriteLibrary();
+    ~RewriteLibrary();
+    RewriteLibrary(const RewriteLibrary&) = delete;
+    RewriteLibrary& operator=(const RewriteLibrary&) = delete;
 
     /// Structure computing the 4-variable function `func` over the leaf
-    /// slots.  Cached; subsequent calls are O(1).
+    /// slots.  Cached; subsequent calls are one lock-free load.  Safe to
+    /// call from any number of threads at once.
     const Structure& structure_for(std::uint16_t func);
 
     /// Number of fully cached functions (diagnostics).
-    std::size_t cache_size() const { return cache_.size(); }
+    std::size_t cache_size() const {
+        return mapped_count_.load(std::memory_order_relaxed);
+    }
     /// Number of canonical classes synthesized so far (diagnostics).
-    std::size_t classes_built() const { return canon_cache_.size(); }
+    std::size_t classes_built() const {
+        return class_count_.load(std::memory_order_relaxed);
+    }
 
-    /// Process-wide shared instance (single-threaded use).
+    /// The process-wide instance every rewrite check shares.  It is never
+    /// destroyed, so late-exiting threads can still read it.
     static RewriteLibrary& instance();
 
     /// Evaluate a structure over the four projection functions; exposed
@@ -48,17 +65,27 @@ public:
     static std::uint16_t evaluate(const Structure& s);
 
 private:
-    Structure decompose(std::uint16_t func);
+    static constexpr std::size_t num_functions = 1U << 16;
 
-    // Lazily grown, never walked on the hot path (one O(1) probe per
-    // structure_for call); a 64k-slot direct-index array per cache per
-    // thread would trade ~6 MB/thread for nothing measurable.
-    // bg-lint: allow(container): lazy NPN caches, O(1) probes only
-    std::unordered_map<std::uint16_t, Structure> cache_;
-    // bg-lint: allow(container): lazy NPN caches, O(1) probes only
-    std::unordered_map<std::uint16_t, Structure> canon_cache_;
-    // bg-lint: allow(container): lazy NPN caches, O(1) probes only
-    std::unordered_map<std::uint16_t, Structure> decomp_cache_;
+    struct Slot {
+        /// structure_for(f): the canonical structure mapped back to f.
+        std::atomic<const Structure*> mapped{nullptr};
+        /// decompose(f): the memoized synthesis result for f itself.
+        std::atomic<const Structure*> decomposed{nullptr};
+    };
+
+    const Structure& decompose(std::uint16_t func);
+    /// Publish `s` into `slot` unless another thread got there first;
+    /// returns the structure the slot holds afterwards and reports in
+    /// `won` whether it is `s`.
+    static const Structure& publish(std::atomic<const Structure*>& slot,
+                                    Structure s, bool* won = nullptr);
+
+    std::unique_ptr<Slot[]> slots_;
+    /// One bit per function: set once its NPN class has been requested.
+    std::array<std::atomic<std::uint64_t>, num_functions / 64> class_seen_{};
+    std::atomic<std::size_t> mapped_count_{0};
+    std::atomic<std::size_t> class_count_{0};
 };
 
 }  // namespace bg::opt

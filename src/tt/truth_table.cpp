@@ -2,27 +2,16 @@
 
 #include <bit>
 
+#include "tt/word_ops.hpp"
 #include "util/contracts.hpp"
 
 namespace bg::tt {
 
-namespace {
-
-/// masks[i] selects the minterms where variable i is 0 (for i < 6).
-constexpr std::uint64_t var0_masks[6] = {
-    0x5555555555555555ULL, 0x3333333333333333ULL, 0x0F0F0F0F0F0F0F0FULL,
-    0x00FF00FF00FF00FFULL, 0x0000FFFF0000FFFFULL, 0x00000000FFFFFFFFULL,
-};
-
-std::size_t words_for(unsigned num_vars) {
-    return num_vars <= 6 ? 1 : (std::size_t{1} << (num_vars - 6));
-}
-
-}  // namespace
+using words::var0_mask;
 
 TruthTable::TruthTable(unsigned nv) : num_vars_(nv) {
     BG_EXPECTS(nv <= max_vars, "truth table too wide");
-    words_.assign(words_for(nv), 0);
+    words_.assign(words::word_count(nv), 0);
 }
 
 void TruthTable::normalize() {
@@ -51,7 +40,7 @@ TruthTable TruthTable::nth_var(unsigned nv, unsigned i) {
     TruthTable t(nv);
     if (i < 6) {
         for (auto& w : t.words_) {
-            w = ~var0_masks[i];
+            w = ~var0_mask[i];
         }
         t.normalize();
     } else {
@@ -124,13 +113,14 @@ std::uint64_t TruthTable::count_ones() const {
 }
 
 bool TruthTable::depends_on(unsigned i) const {
-    return cofactor0(i) != cofactor1(i);
+    BG_EXPECTS(i < num_vars_, "cofactor variable out of range");
+    return words::depends_on(words_.data(), words_.size(), i);
 }
 
 std::uint32_t TruthTable::support_mask() const {
     std::uint32_t mask = 0;
     for (unsigned i = 0; i < num_vars_; ++i) {
-        if (depends_on(i)) {
+        if (words::depends_on(words_.data(), words_.size(), i)) {
             mask |= 1U << i;
         }
     }
@@ -147,7 +137,7 @@ TruthTable TruthTable::cofactor0(unsigned i) const {
     if (i < 6) {
         const unsigned shift = 1U << i;
         for (auto& w : t.words_) {
-            const std::uint64_t lo = w & var0_masks[i];
+            const std::uint64_t lo = w & var0_mask[i];
             w = lo | (lo << shift);
         }
     } else {
@@ -167,7 +157,7 @@ TruthTable TruthTable::cofactor1(unsigned i) const {
     if (i < 6) {
         const unsigned shift = 1U << i;
         for (auto& w : t.words_) {
-            const std::uint64_t hi = w & ~var0_masks[i];
+            const std::uint64_t hi = w & ~var0_mask[i];
             w = hi | (hi >> shift);
         }
     } else {

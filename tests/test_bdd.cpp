@@ -105,6 +105,47 @@ TEST(Bdd, OverflowThrowsAndCecDegrades) {
         << "overflow must degrade, not crash";
 }
 
+TEST(Bdd, InterruptStopsOneLongOperation) {
+    // OR of x_i & x_{i+14} under the natural order needs ~2^14 nodes, all
+    // built inside one or_ call: the interrupt hook must fire within it.
+    BddManager mgr(28);
+    std::vector<Ref> terms;
+    for (unsigned i = 0; i < 14; ++i) {
+        terms.push_back(mgr.and_(mgr.var(i), mgr.var(i + 14)));
+    }
+    Ref left = BddManager::bdd_false;
+    for (unsigned i = 0; i < 7; ++i) {
+        left = mgr.or_(left, terms[i]);
+    }
+    Ref right = BddManager::bdd_false;
+    for (unsigned i = 7; i < 14; ++i) {
+        right = mgr.or_(right, terms[i]);
+    }
+    int polls = 0;
+    mgr.set_interrupt([&polls] { return ++polls >= 2; });
+    EXPECT_THROW((void)mgr.or_(left, right), BddInterrupted);
+    EXPECT_EQ(polls, 2);
+    // Without the hook the same call completes on the same manager.
+    mgr.set_interrupt(nullptr);
+    const Ref all = mgr.or_(left, right);
+    EXPECT_GT(mgr.size_of(all), 4096u);
+}
+
+TEST(Bdd, MemoBoundKeepsNodeIds) {
+    // The memo is cleared at node_limit / 4 entries.  With the limit at
+    // what the diagrams need, the build passes that bound several times,
+    // yet every PO gets the same node id, and the manager the same node
+    // count, as under the default limit, where it never clears.
+    const Aig g = bg::circuits::make_benchmark_scaled("c2670", 0.2);
+    BddManager roomy(static_cast<unsigned>(g.num_pis()));
+    const auto want = build_po_bdds(roomy, g);
+    ASSERT_GT(roomy.num_nodes(), 4 * (g.num_pis() + 2));
+    BddManager tight(static_cast<unsigned>(g.num_pis()), roomy.num_nodes());
+    const auto got = build_po_bdds(tight, g);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(tight.num_nodes(), roomy.num_nodes());
+}
+
 TEST(BddCec, ProvesOptimizationOnWideDesigns) {
     const Aig original = bg::circuits::make_benchmark_scaled("b07", 0.5);
     ASSERT_GT(original.num_pis(), 14u);

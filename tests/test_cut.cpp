@@ -11,7 +11,7 @@ namespace {
 
 using namespace bg::aig;  // NOLINT: test brevity
 using bg::cut::cone_function;
-using bg::cut::cone_functions;
+using bg::cut::ConeWindow;
 using bg::cut::enumerate_cuts;
 using bg::cut::reconv_cut;
 using bg::tt::TruthTable;
@@ -134,9 +134,10 @@ TEST(ConeFunctions, CoversAllConeNodes) {
     const Lit y = g.and_(x, c);
     g.add_po(y);
     const std::vector<Var> leaves{lit_var(a), lit_var(b), lit_var(c)};
-    const auto fns = cone_functions(g, lit_var(y), leaves);
+    ConeWindow fns;
+    fns.build(g, lit_var(y), leaves);
     EXPECT_EQ(fns.size(), 5u);  // 3 leaves + x + y
-    EXPECT_EQ(fns.at(lit_var(x)),
+    EXPECT_EQ(fns.to_tt(fns.index(lit_var(x))),
               (TruthTable::nth_var(3, 0) & TruthTable::nth_var(3, 1)));
 }
 

@@ -3,7 +3,9 @@
 #include "circuits/registry.hpp"
 #include "core/features.hpp"
 #include "opt/orchestrate.hpp"
+#include "opt/rewrite_lib.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -154,6 +156,46 @@ TEST(Csr, TraceFeaturesOnRealDesign) {
         }
     }
     EXPECT_EQ(applied_count, res.num_applied);
+}
+
+TEST(StaticFeatures, ConcurrentCallsOnSharedPoolMatchSingleThreaded) {
+    // Several jobs compute static features at once on one pool (nesting
+    // their per-node loops in it) while other jobs fill the shared rewrite
+    // library; every result must equal a plain sequential row loop.
+    const std::vector<Aig> designs = {
+        bg::circuits::make_benchmark_scaled("b10", 0.3),
+        bg::circuits::make_benchmark_scaled("c2670", 0.2),
+        bg::test::random_aig(10, 300, 6, 5),
+    };
+    const bg::opt::OptParams params;
+    std::vector<StaticFeatures> want;
+    for (const auto& g : designs) {
+        StaticFeatures rows(g.num_slots());
+        for (Var v = 0; v < g.num_slots(); ++v) {
+            compute_static_row(g, v, params, rows[v]);
+        }
+        want.push_back(std::move(rows));
+    }
+
+    bg::ThreadPool pool(4);
+    constexpr std::size_t repeats = 3;
+    const std::size_t jobs = designs.size() * repeats;
+    std::vector<StaticFeatures> got(jobs);
+    std::vector<std::uint16_t> probes(jobs);
+    pool.for_each(2 * jobs, [&](std::size_t i) {
+        if (i < jobs) {
+            got[i] = compute_static_features(designs[i % designs.size()],
+                                             params, &pool);
+        } else {
+            const auto f = static_cast<std::uint16_t>(0x9E37U * (i + 1));
+            const auto& s = bg::opt::RewriteLibrary::instance().structure_for(f);
+            probes[i - jobs] = bg::opt::RewriteLibrary::evaluate(s);
+        }
+    });
+    for (std::size_t i = 0; i < jobs; ++i) {
+        EXPECT_EQ(got[i], want[i % designs.size()]) << "job " << i;
+        EXPECT_EQ(probes[i], static_cast<std::uint16_t>(0x9E37U * (jobs + i + 1)));
+    }
 }
 
 }  // namespace

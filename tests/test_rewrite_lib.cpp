@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "opt/rewrite_lib.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -74,6 +77,47 @@ TEST(RewriteLib, SharedInstanceIsCached) {
     EXPECT_EQ(&a, &b);
     (void)a.structure_for(0x1234);
     EXPECT_GE(b.cache_size(), 1u);
+}
+
+TEST(RewriteLib, ConcurrentFillMatchesSingleThreaded) {
+    // Every pool worker fills the same fresh library in a different order,
+    // so threads race on empty slots; each must still see exactly the
+    // structure a single-threaded library builds.
+    bg::Rng rng(11);
+    std::vector<std::uint16_t> funcs(1500);
+    for (auto& f : funcs) {
+        f = static_cast<std::uint16_t>(rng.next_below(0x10000));
+    }
+    RewriteLibrary shared;
+    bg::ThreadPool pool(4);
+    constexpr std::size_t lanes = 8;
+    std::vector<std::vector<const RewriteLibrary::Structure*>> seen(lanes);
+    pool.for_each(lanes, [&](std::size_t lane) {
+        auto& out = seen[lane];
+        out.resize(funcs.size());
+        for (std::size_t k = 0; k < funcs.size(); ++k) {
+            // Lanes walk the list from staggered offsets.
+            const std::size_t i = (k + lane * 97) % funcs.size();
+            out[i] = &shared.structure_for(funcs[i]);
+        }
+    });
+
+    RewriteLibrary single;
+    for (std::size_t i = 0; i < funcs.size(); ++i) {
+        const auto& want = single.structure_for(funcs[i]);
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+            const auto* got = seen[lane][i];
+            ASSERT_EQ(got, seen[0][i]) << "one published structure per slot";
+            ASSERT_EQ(got->out, want.out) << "function " << funcs[i];
+            ASSERT_EQ(got->steps.size(), want.steps.size());
+            for (std::size_t s = 0; s < want.steps.size(); ++s) {
+                ASSERT_EQ(got->steps[s].in0, want.steps[s].in0);
+                ASSERT_EQ(got->steps[s].in1, want.steps[s].in1);
+            }
+        }
+    }
+    EXPECT_EQ(shared.cache_size(), single.cache_size());
+    EXPECT_EQ(shared.classes_built(), single.classes_built());
 }
 
 }  // namespace
