@@ -16,8 +16,8 @@
 ///            head instead of size-as-proxy), --lut-k sets the mapping K
 ///            for LUT labels (measured only when the luts head is on)
 ///   flow     <design...>|--all [--samples N] [--top-k K] [--rounds R]
-///            [--workers W] [--intra-workers W] [--scale S] [--seed S]
-///            [--model weights.bin] [--random] [--incremental-features]
+///            [--workers W] [--scale S] [--seed S]
+///            [--model weights.bin] [--random] [--verify]
 ///            [--objective size|depth|luts[:K]|weighted:a,b]
 ///            batched GNN-guided flow over one or many designs; design
 ///            arguments may be registry globs (e.g. 'b1*'); --random
@@ -25,11 +25,7 @@
 ///            --objective picks the cost model candidates are ranked and
 ///            committed under (default size = AND count); the pruning
 ///            scores come from the model head matching the objective
-///            (size stands in when the checkpoint lacks the head);
-///            --intra-workers parallelizes candidate checks *inside* each
-///            orchestration pass (bit-identical to sequential);
-///            --incremental-features maintains per-design features across
-///            committed rounds instead of rebuilding them
+///            (size stands in when the checkpoint lacks the head)
 ///   serve    <design...>|--all [flow flags] [--repeat N]
 ///            [--swap-model weights.bin|fresh] [--swap-after N]
 ///            long-lived FlowService demo: submits every design (repeated
@@ -57,16 +53,23 @@
 ///
 /// <design> is a registry name (b07..c5315, optionally name@scale, e.g.
 /// b11@0.25) or a path ending in .aag / .aig / .bench.
+///
+/// Exit codes: 0 success; 1 a real failure (refuted equivalence, a
+/// contract violation); 2 a usage error — unknown command or flag, a
+/// numeric flag that is not wholly a non-negative number, or a design
+/// spec that resolves to nothing.
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <optional>
-#include <cstdlib>
-#include <cstring>
 #include <future>
 #include <memory>
+#include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "aig/cec.hpp"
@@ -105,10 +108,9 @@ int usage() {
         "  train    <design> [-n N] [--epochs E] [--seed S]\n"
         "           [--heads size,depth,luts] [--lut-k K] [-o weights.bin]\n"
         "  flow     <design...>|--all [--samples N] [--top-k K] [--rounds R]\n"
-        "           [--workers W] [--intra-workers W] [--scale S] [--seed S]\n"
+        "           [--workers W] [--scale S] [--seed S]\n"
         "           [--model f] [--random] [--verify]\n"
         "           [--objective size|depth|luts[:K]|weighted:a,b]\n"
-        "           [--incremental-features]\n"
         "  serve    <design...>|--all [flow flags] [--repeat N]\n"
         "           [--swap-model f|fresh] [--swap-after N]\n"
         "  serve    --listen PORT [--bind ADDR]\n"
@@ -156,6 +158,52 @@ std::optional<std::string> flag_value(std::vector<std::string>& args,
     return std::nullopt;
 }
 
+/// A malformed command line: main() prints it as a one-line `error:` and
+/// exits 2, the same contract as a bad design spec.
+class UsageError : public std::runtime_error {
+public:
+    using std::runtime_error::runtime_error;
+};
+
+/// `text` as a T, or a UsageError naming `what`.  The whole text must be
+/// the number: no sign, whitespace or suffix, and no overflow of T;
+/// floating-point values must also be finite and non-negative.
+template <class T>
+T parse_number(const std::string& text, const std::string& what) {
+    T value{};
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    bool ok = ec == std::errc{} && end == last;
+    if constexpr (std::is_floating_point_v<T>) {
+        ok = ok && std::isfinite(value) && value >= 0;
+    }
+    if (!ok) {
+        throw UsageError(what + " expects a non-negative " +
+                         (std::is_floating_point_v<T> ? "number"
+                                                      : "integer") +
+                         " in range, got '" + text + "'");
+    }
+    return value;
+}
+
+/// The value of numeric flag `name`, or `fallback` when it is absent.
+template <class T>
+T numeric_flag(std::vector<std::string>& args, const char* name,
+               T fallback) {
+    const auto value = flag_value(args, name);
+    return value ? parse_number<T>(*value, name) : fallback;
+}
+
+/// Call once a command has consumed every flag it knows: anything still
+/// spelled like a flag is unknown (or removed), or lacks its value.
+void reject_unknown_flags(const std::vector<std::string>& args) {
+    for (const auto& arg : args) {
+        if (arg.size() > 1 && arg[0] == '-') {
+            throw UsageError("unknown flag or missing value: " + arg);
+        }
+    }
+}
+
 bool flag_present(std::vector<std::string>& args, const char* name) {
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == name) {
@@ -181,13 +229,13 @@ int cmd_stats(Aig g, bool check) {
 
 int cmd_opt(Aig g, std::vector<std::string> args) {
     const auto ops_arg = flag_value(args, "--ops");
-    const auto rounds_arg = flag_value(args, "--rounds");
+    const auto rounds = numeric_flag<std::size_t>(args, "--rounds", 1);
     const auto out_arg = flag_value(args, "-o");
+    reject_unknown_flags(args);
     const std::string ops = ops_arg.value_or("rw,rs,rf");
-    const int rounds = rounds_arg ? std::atoi(rounds_arg->c_str()) : 1;
 
     std::printf("start: ands=%zu depth=%u\n", g.num_ands(), g.depth());
-    for (int r = 0; r < rounds; ++r) {
+    for (std::size_t r = 0; r < rounds; ++r) {
         std::size_t pos = 0;
         while (pos < ops.size()) {
             auto comma = ops.find(',', pos);
@@ -220,15 +268,11 @@ int cmd_opt(Aig g, std::vector<std::string> args) {
 }
 
 int cmd_sample(Aig g, std::vector<std::string> args) {
-    const auto n_arg = flag_value(args, "-n");
-    const auto seed_arg = flag_value(args, "--seed");
+    const auto n = numeric_flag<std::size_t>(args, "-n", 100);
+    const auto seed = numeric_flag<std::uint64_t>(args, "--seed", 1);
     const auto save_arg = flag_value(args, "--save-best");
     const bool guided = flag_present(args, "--guided");
-    const std::size_t n =
-        n_arg ? static_cast<std::size_t>(std::atoll(n_arg->c_str())) : 100;
-    const std::uint64_t seed =
-        seed_arg ? static_cast<std::uint64_t>(std::atoll(seed_arg->c_str()))
-                 : 1;
+    reject_unknown_flags(args);
 
     const auto samples =
         guided ? bg::core::generate_guided_samples(g, n, seed)
@@ -273,18 +317,15 @@ std::vector<bg::core::MetricHead> parse_heads(const std::string& spec) {
 }
 
 int cmd_train(Aig g, std::vector<std::string> args) {
-    const auto n_arg = flag_value(args, "-n");
-    const auto epochs_arg = flag_value(args, "--epochs");
-    const auto seed_arg = flag_value(args, "--seed");
+    const auto n = numeric_flag<std::size_t>(args, "-n", 120);
+    auto tc = bg::core::TrainConfig::quick();
+    tc.epochs = numeric_flag<std::size_t>(args, "--epochs", tc.epochs);
+    const auto seed = numeric_flag<std::uint64_t>(args, "--seed", 7);
     const auto heads_arg = flag_value(args, "--heads");
-    const auto lut_k_arg = flag_value(args, "--lut-k");
+    bg::opt::LutMapParams lut;
+    lut.k = numeric_flag<unsigned>(args, "--lut-k", lut.k);
     const auto out_arg = flag_value(args, "-o");
-
-    const std::size_t n =
-        n_arg ? static_cast<std::size_t>(std::atoll(n_arg->c_str())) : 120;
-    const std::uint64_t seed =
-        seed_arg ? static_cast<std::uint64_t>(std::atoll(seed_arg->c_str()))
-                 : 7;
+    reject_unknown_flags(args);
 
     bg::core::ModelConfig mc = bg::core::ModelConfig::quick();
     if (heads_arg) {
@@ -294,10 +335,6 @@ int cmd_train(Aig g, std::vector<std::string> args) {
 
     // LUT labels are only worth their lut_map cost when a LUT head will
     // consume them.
-    bg::opt::LutMapParams lut;
-    if (lut_k_arg) {
-        lut.k = static_cast<unsigned>(std::atoi(lut_k_arg->c_str()));
-    }
     const bool wants_luts = model.has_head(bg::core::MetricHead::Luts);
     std::printf("sampling %zu guided decision vectors%s...\n", n,
                 wants_luts ? " (with LUT labels)" : "");
@@ -308,10 +345,6 @@ int cmd_train(Aig g, std::vector<std::string> args) {
     std::printf("dataset: %zu samples, best reduction %d (%.1fs)\n",
                 ds.size(), ds.best_reduction(), sw.seconds());
 
-    auto tc = bg::core::TrainConfig::quick();
-    if (epochs_arg) {
-        tc.epochs = static_cast<std::size_t>(std::atoll(epochs_arg->c_str()));
-    }
     tc.seed = seed;
     sw.reset();
     const auto tr = bg::core::train_model(model, ds, tc);
@@ -345,50 +378,23 @@ struct FlowArgs {
 
 FlowArgs parse_flow_args(std::vector<std::string>& args) {
     FlowArgs out;
-    const auto samples_arg = flag_value(args, "--samples");
-    const auto topk_arg = flag_value(args, "--top-k");
-    const auto rounds_arg = flag_value(args, "--rounds");
-    const auto workers_arg = flag_value(args, "--workers");
-    const auto intra_workers_arg = flag_value(args, "--intra-workers");
-    const auto scale_arg = flag_value(args, "--scale");
-    const auto seed_arg = flag_value(args, "--seed");
+    out.cfg.flow.num_samples =
+        numeric_flag<std::size_t>(args, "--samples", 100);
+    out.cfg.flow.top_k = numeric_flag<std::size_t>(args, "--top-k", 10);
+    out.cfg.rounds = numeric_flag<std::size_t>(args, "--rounds", 1);
+    out.cfg.workers = numeric_flag<std::size_t>(args, "--workers", 0);
+    out.scale = numeric_flag<double>(args, "--scale", 1.0);
+    out.cfg.flow.seed = numeric_flag<std::uint64_t>(args, "--seed", 1);
     const auto objective_arg = flag_value(args, "--objective");
     out.model_path = flag_value(args, "--model");
     out.all = flag_present(args, "--all");
-    const bool random = flag_present(args, "--random");
+    out.cfg.flow.guided = !flag_present(args, "--random");
     out.cfg.flow.verify = flag_present(args, "--verify");
-    out.cfg.flow.incremental_features =
-        flag_present(args, "--incremental-features");
+    reject_unknown_flags(args);
 
     if (objective_arg) {
         out.cfg.flow.objective = bg::opt::make_objective(*objective_arg);
     }
-
-    out.cfg.flow.num_samples =
-        samples_arg
-            ? static_cast<std::size_t>(std::atoll(samples_arg->c_str()))
-            : 100;
-    out.cfg.flow.top_k =
-        topk_arg ? static_cast<std::size_t>(std::atoll(topk_arg->c_str()))
-                 : 10;
-    out.cfg.flow.guided = !random;
-    out.cfg.flow.seed =
-        seed_arg ? static_cast<std::uint64_t>(std::atoll(seed_arg->c_str()))
-                 : 1;
-    out.cfg.rounds =
-        rounds_arg ? static_cast<std::size_t>(std::atoll(rounds_arg->c_str()))
-                   : 1;
-    out.cfg.workers =
-        workers_arg
-            ? static_cast<std::size_t>(std::atoll(workers_arg->c_str()))
-            : 0;
-    // Intra-design parallelism: speculative candidate checks inside each
-    // committed orchestration (bit-identical to sequential).
-    out.cfg.flow.intra_workers =
-        intra_workers_arg
-            ? static_cast<std::size_t>(std::atoll(intra_workers_arg->c_str()))
-            : 0;
-    out.scale = scale_arg ? std::stod(scale_arg->c_str()) : 1.0;
     return out;
 }
 
@@ -516,7 +522,8 @@ int cmd_flow(std::vector<std::string> args) {
 int cmd_serve(std::vector<std::string> args) {
     const auto swap_arg = flag_value(args, "--swap-model");
     const auto swap_after_arg = flag_value(args, "--swap-after");
-    const auto repeat_arg = flag_value(args, "--repeat");
+    const std::size_t repeat = std::max<std::size_t>(
+        1, numeric_flag<std::size_t>(args, "--repeat", 1));
     const FlowArgs parsed = parse_flow_args(args);
     const auto jobs = collect_jobs(args, parsed.all, parsed.scale);
     if (!jobs) {
@@ -526,16 +533,11 @@ int cmd_serve(std::vector<std::string> args) {
         std::puts("serve requires at least one design (or --all)");
         return 2;
     }
-    const std::size_t repeat =
-        repeat_arg
-            ? std::max<std::size_t>(
-                  1, static_cast<std::size_t>(std::atoll(repeat_arg->c_str())))
-            : 1;
     const std::size_t total = jobs->size() * repeat;
     const std::size_t swap_after =
-        swap_after_arg
-            ? static_cast<std::size_t>(std::atoll(swap_after_arg->c_str()))
-            : total / 2;
+        swap_after_arg ? parse_number<std::size_t>(*swap_after_arg,
+                                                   "--swap-after")
+                       : total / 2;
 
     auto initial = std::make_shared<bg::core::BoolGebraModel>(
         make_cli_model(parsed.model_path));
@@ -652,12 +654,13 @@ bg::core::TenantConfig parse_tenant_spec(const std::string& spec) {
     cfg.name = spec.substr(0, first);
     if (first != std::string::npos) {
         const auto second = spec.find(':', first + 1);
-        cfg.weight = static_cast<std::size_t>(std::max(
-            1LL, std::atoll(spec.substr(first + 1, second - first - 1)
-                                .c_str())));
+        cfg.weight = std::max<std::size_t>(
+            1, parse_number<std::size_t>(
+                   spec.substr(first + 1, second - first - 1),
+                   "--tenant weight"));
         if (second != std::string::npos) {
-            cfg.max_pending = static_cast<std::size_t>(
-                std::atoll(spec.substr(second + 1).c_str()));
+            cfg.max_pending = parse_number<std::size_t>(
+                spec.substr(second + 1), "--tenant cap");
         }
     }
     if (cfg.name.empty()) {
@@ -689,7 +692,7 @@ int cmd_serve_listen(std::vector<std::string> args,
         make_cli_model(parsed.model_path));
     bg::net::ServerConfig cfg;
     cfg.bind_address = bind_arg.value_or("127.0.0.1");
-    cfg.port = static_cast<std::uint16_t>(std::atoi(listen_arg.c_str()));
+    cfg.port = parse_number<std::uint16_t>(listen_arg, "--listen");
     cfg.service.workers = parsed.cfg.workers;
     cfg.service.rounds = parsed.cfg.rounds;
     cfg.service.flow = parsed.cfg.flow;
@@ -749,44 +752,37 @@ const char* verdict_name(bg::net::WireVerdict verdict) {
 
 int cmd_client_flow(bg::net::FlowClient& client,
                     std::vector<std::string> args) {
-    const auto samples_arg = flag_value(args, "--samples");
-    const auto topk_arg = flag_value(args, "--top-k");
-    const auto rounds_arg = flag_value(args, "--rounds");
-    const auto seed_arg = flag_value(args, "--seed");
+    // Unset flags keep SubmitJobMsg's defaults.
+    const bg::net::SubmitJobMsg defaults;
+    const auto samples =
+        numeric_flag<std::uint32_t>(args, "--samples", defaults.num_samples);
+    const auto top_k =
+        numeric_flag<std::uint32_t>(args, "--top-k", defaults.top_k);
+    const auto rounds =
+        numeric_flag<std::uint32_t>(args, "--rounds", defaults.rounds);
+    const auto seed =
+        numeric_flag<std::uint64_t>(args, "--seed", defaults.seed);
+    const auto timeout =
+        numeric_flag<double>(args, "--timeout", defaults.timeout_seconds);
+    const double scale = numeric_flag<double>(args, "--scale", 1.0);
     const auto objective_arg = flag_value(args, "--objective");
-    const auto timeout_arg = flag_value(args, "--timeout");
-    const auto scale_arg = flag_value(args, "--scale");
     const bool verify = flag_present(args, "--verify");
     const bool send_spec = flag_present(args, "--send-spec");
     const bool progress = flag_present(args, "--progress");
+    reject_unknown_flags(args);
     if (args.empty()) {
         std::puts("client flow requires at least one design");
         return 2;
     }
-    const double scale = scale_arg ? std::stod(*scale_arg) : 1.0;
 
     auto fill = [&](bg::net::SubmitJobMsg& msg) {
-        if (samples_arg) {
-            msg.num_samples = static_cast<std::uint32_t>(
-                std::atoll(samples_arg->c_str()));
-        }
-        if (topk_arg) {
-            msg.top_k =
-                static_cast<std::uint32_t>(std::atoll(topk_arg->c_str()));
-        }
-        if (rounds_arg) {
-            msg.rounds =
-                static_cast<std::uint32_t>(std::atoll(rounds_arg->c_str()));
-        }
-        if (seed_arg) {
-            msg.seed =
-                static_cast<std::uint64_t>(std::atoll(seed_arg->c_str()));
-        }
+        msg.num_samples = samples;
+        msg.top_k = top_k;
+        msg.rounds = rounds;
+        msg.seed = seed;
+        msg.timeout_seconds = timeout;
         if (objective_arg) {
             msg.objective = *objective_arg;
-        }
-        if (timeout_arg) {
-            msg.timeout_seconds = std::stod(*timeout_arg);
         }
         msg.verify = verify;
         msg.want_progress = progress;
@@ -903,8 +899,8 @@ int cmd_client(std::vector<std::string> args) {
         return 2;
     }
     cfg.host = endpoint.substr(0, colon);
-    cfg.port = static_cast<std::uint16_t>(
-        std::atoi(endpoint.substr(colon + 1).c_str()));
+    cfg.port = parse_number<std::uint16_t>(endpoint.substr(colon + 1),
+                                           "endpoint port");
     cfg.token = flag_value(args, "--token").value_or("");
 
     try {
@@ -938,6 +934,7 @@ int cmd_client(std::vector<std::string> args) {
 int cmd_apply(Aig g, std::vector<std::string> args) {
     const auto dec_arg = flag_value(args, "--decisions");
     const auto out_arg = flag_value(args, "-o");
+    reject_unknown_flags(args);
     if (!dec_arg) {
         std::puts("apply requires --decisions <file.csv>");
         return 2;
@@ -1102,10 +1099,9 @@ int main(int argc, char** argv) {
         if (cmd == "map" && !args.empty()) {
             Aig g = load_design(args[0]);
             args.erase(args.begin());
-            const auto k_arg = flag_value(args, "-k");
             bg::opt::LutMapParams p;
-            p.k = k_arg ? static_cast<unsigned>(std::atoi(k_arg->c_str()))
-                        : 6;
+            p.k = numeric_flag<unsigned>(args, "-k", 6);
+            reject_unknown_flags(args);
             const auto m = bg::opt::map_to_luts(g, p);
             std::printf("%u-LUT mapping: %zu LUTs, depth %u "
                         "(from %zu AND nodes, depth %u)\n",
@@ -1119,6 +1115,9 @@ int main(int argc, char** argv) {
     } catch (const bg::circuits::DesignSourceError& e) {
         // Bad design spec (unknown name, empty glob, unreadable or
         // malformed file): a usage-class failure, exit 2.
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    } catch (const UsageError& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
     } catch (const std::exception& e) {

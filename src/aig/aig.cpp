@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "aig/footprint.hpp"
 #include "aig/visited.hpp"
 
 namespace bg::aig {
@@ -224,7 +223,6 @@ Var Aig::new_node() {
     fanouts_.add_node();
     po_ref_counts_.push_back(0);
     const Var v = static_cast<Var>(nodes_.size() - 1);
-    touch(v, Read::Struct);
     return v;
 }
 
@@ -275,17 +273,10 @@ Lit Aig::lookup_and(Lit a, Lit b) const {
     if (a > b) {
         std::swap(a, b);
     }
-    // A strash probe's result is covered by the fanout class of both
-    // operand vars (any key change over (a, b) journals a fanout-edge
-    // change on at least one of them) plus, on a hit, the hit node's
-    // structure — mirror exactly that into the audit shadow.
-    BG_AUDIT_READ(lit_var(a), Read::Fanout);
-    BG_AUDIT_READ(lit_var(b), Read::Fanout);
     const Var hit = strash_.find(strash_key(a, b));
     if (hit == null_var) {
         return null_lit;
     }
-    BG_AUDIT_READ(hit, Read::Struct);
     return make_lit(hit);
 }
 
@@ -304,8 +295,8 @@ Lit Aig::and_(Lit a, Lit b) {
     nodes_[v].fanin1 = NodeRef::from_lit(b);
     ref_var(lit_var(a));
     ref_var(lit_var(b));
-    fanout_add(lit_var(a), v);
-    fanout_add(lit_var(b), v);
+    fanouts_.push_back(lit_var(a), v);
+    fanouts_.push_back(lit_var(b), v);
     strash_.insert(strash_key(a, b), v);
     ++num_ands_;
     return make_lit(v);
@@ -445,15 +436,14 @@ bool Aig::is_in_tfi(Var root, Var descendant) const {
         return true;
     }
     // Epoch-marked scratch instead of a per-call vector<bool>: TFI walks
-    // run per candidate, and per region once walks go parallel.  Each
-    // thread owns its scratch, so concurrent walks never share marks.
+    // run per candidate.  Each thread owns its scratch, so concurrent
+    // checks never share marks.
     thread_local EpochMarks seen;
     thread_local std::vector<Var> stack;
     seen.reset(nodes_.size());
     stack.clear();
     stack.push_back(root);
     seen.set(root);
-    fp_touch(root, Read::Struct);
     while (!stack.empty()) {
         const Var v = stack.back();
         stack.pop_back();
@@ -466,7 +456,6 @@ bool Aig::is_in_tfi(Var root, Var descendant) const {
                 return true;
             }
             if (seen.insert(u)) {
-                fp_touch(u, Read::Struct);
                 stack.push_back(u);
             }
         }
@@ -479,17 +468,12 @@ void Aig::delete_unreferenced(Var v) {
     if (n.dead() || !n.is_and() || n.ref > 0) {
         return;
     }
-    // Death changes every aspect at once: the node vanishes, its (zero)
-    // reference count stops being readable, and its fanout list clears.
-    touch(v, Read::Struct);
-    touch(v, Read::Ref);
-    touch(v, Read::Fanout);
     n.set_dead(true);
     --num_ands_;
     strash_.erase(strash_key(n.fanin0.lit(), n.fanin1.lit()));
     for (const NodeRef f : {n.fanin0, n.fanin1}) {
         const Var u = f.index();
-        fanout_remove(u, v);
+        fanouts_.remove(u, v);
         deref_var(u);
         delete_unreferenced(u);
     }
@@ -525,9 +509,9 @@ void Aig::patch_fanout(Var fanout, Var v, Lit repl) {
     fn.fanin0 = NodeRef::from_lit(a);
     fn.fanin1 = NodeRef::from_lit(b);
     strash_.insert(strash_key(a, b), fanout);
-    fanout_remove(v, fanout);
+    fanouts_.remove(v, fanout);
     deref_var(v);
-    fanout_add(lit_var(repl), fanout);
+    fanouts_.push_back(lit_var(repl), fanout);
     ref_var(lit_var(repl));
 }
 
@@ -709,11 +693,10 @@ void Aig::check_integrity(CheckLevel level) const {
               "graph contains a combinational cycle");
 }
 
-#ifdef BOOLGEBRA_AUDIT
-void Aig::audit_corrupt_for_test(Corrupt kind, Var v) {
+void Aig::corrupt_for_test(Corrupt kind, Var v) {
     switch (kind) {
         case Corrupt::RefCount:
-            ++nodes_[v].ref;  // unjournaled on purpose
+            ++nodes_[v].ref;
             break;
         case Corrupt::FanoutDup:
             BG_EXPECTS(!fanouts_.list(v).empty(),
@@ -728,7 +711,6 @@ void Aig::audit_corrupt_for_test(Corrupt kind, Var v) {
             break;
     }
 }
-#endif
 
 std::string Aig::to_string() const {
     std::ostringstream os;

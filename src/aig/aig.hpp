@@ -33,8 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "aig/audit.hpp"
-#include "aig/footprint.hpp"
 #include "util/contracts.hpp"
 
 namespace bg::aig {
@@ -289,94 +287,46 @@ public:
     /// Total slots including PIs, constant and tombstones.
     std::size_t num_slots() const { return nodes_.size(); }
 
-    // Accessors that read a *mutable* aspect of a node carry a
-    // BG_AUDIT_READ hook: in audit builds (-DBOOLGEBRA_AUDIT=ON) they
-    // report the actual (var, Read-class) to the thread-local shadow
-    // recorder (audit.hpp); in normal builds the hook expands to nothing
-    // and the bodies are the exact pre-audit code.  is_pi / pis / pi are
-    // immutable per-var facts and deliberately unhooked.
     bool is_const0(Var v) const { return v == 0; }
     bool is_pi(Var v) const { return nodes_[v].is_pi(); }
-    bool is_and(Var v) const {
-        BG_AUDIT_READ(v, Read::Struct);
-        return nodes_[v].is_and();
-    }
-    bool is_dead(Var v) const {
-        BG_AUDIT_READ(v, Read::Struct);
-        return nodes_[v].dead();
-    }
-    std::uint32_t ref_count(Var v) const {
-        BG_AUDIT_READ(v, Read::Ref);
-        return nodes_[v].ref;
-    }
+    bool is_and(Var v) const { return nodes_[v].is_and(); }
+    bool is_dead(Var v) const { return nodes_[v].dead(); }
+    std::uint32_t ref_count(Var v) const { return nodes_[v].ref; }
 
     /// Fanins as packed references — the primary accessors of the new
     /// storage API (index() + complemented() replace the lit_var /
     /// lit_is_compl dance on the traversal hot paths).
-    NodeRef fanin0_ref(Var v) const {
-        BG_AUDIT_READ(v, Read::Struct);
-        return nodes_[v].fanin0;
-    }
-    NodeRef fanin1_ref(Var v) const {
-        BG_AUDIT_READ(v, Read::Struct);
-        return nodes_[v].fanin1;
-    }
+    NodeRef fanin0_ref(Var v) const { return nodes_[v].fanin0; }
+    NodeRef fanin1_ref(Var v) const { return nodes_[v].fanin1; }
     std::array<NodeRef, 2> fanin_refs(Var v) const {
-        BG_AUDIT_READ(v, Read::Struct);
         return {nodes_[v].fanin0, nodes_[v].fanin1};
     }
 
     /// Fanins in the stable public literal encoding.
-    Lit fanin0(Var v) const {
-        BG_AUDIT_READ(v, Read::Struct);
-        return nodes_[v].fanin0.lit();
-    }
-    Lit fanin1(Var v) const {
-        BG_AUDIT_READ(v, Read::Struct);
-        return nodes_[v].fanin1.lit();
-    }
+    Lit fanin0(Var v) const { return nodes_[v].fanin0.lit(); }
+    Lit fanin1(Var v) const { return nodes_[v].fanin1.lit(); }
 
     std::span<const Var> pis() const { return pis_; }
-    std::span<const Lit> pos() const {
-        BG_AUDIT_READ_PO();
-        return pos_;
-    }
-    Lit po(std::size_t i) const {
-        BG_AUDIT_READ_PO();
-        return pos_[i];
-    }
+    std::span<const Lit> pos() const { return pos_; }
+    Lit po(std::size_t i) const { return pos_[i]; }
     NodeRef po_ref(std::size_t i) const {
-        BG_AUDIT_READ_PO();
         return NodeRef::from_lit(pos_[i]);
     }
     Var pi(std::size_t i) const { return pis_[i]; }
 
     /// Live AND-node fanouts of v (PO references are not listed here).
     /// The span is invalidated by any mutating operation.
-    std::span<const Var> fanouts(Var v) const {
-        BG_AUDIT_READ(v, Read::Fanout);
-        return fanouts_.list(v);
-    }
+    std::span<const Var> fanouts(Var v) const { return fanouts_.list(v); }
     /// Number of POs driven by v (either phase) — O(1), maintained
     /// incrementally by add_po / replace / compact.
-    std::size_t po_refs(Var v) const {
-        BG_AUDIT_READ(v, Read::Ref);
-        return po_ref_counts_[v];
-    }
+    std::size_t po_refs(Var v) const { return po_ref_counts_[v]; }
 
     // -- levels / depth ----------------------------------------------------
 
     /// Recompute levels of all live nodes (PI level 0, AND = 1 + max fanin).
     void update_levels();
-    /// The cached level.  Audited as a Struct read: levels are refreshed
-    /// only by update_levels(), which never runs during a parallel pass,
-    /// so during speculation a var's level is a function of the frozen
-    /// structure reachable from it — and every level() consumer reads it
-    /// for vars whose structure it has already declared.
-    std::uint32_t level(Var v) const {
-        BG_AUDIT_READ(v, Read::Struct);
-        return nodes_[v].level();
-    }
+    /// The cached level (fresh after update_levels() or depth()).
+    std::uint32_t level(Var v) const { return nodes_[v].level(); }
     /// Longest PI-to-PO path in AND nodes; calls update_levels().
     std::uint32_t depth();
     /// Same metric without touching the cached levels — usable on shared
@@ -429,30 +379,14 @@ public:
     /// on the first inconsistency found.
     void check_integrity(CheckLevel level = CheckLevel::Basic) const;
 
-#ifdef BOOLGEBRA_AUDIT
-    /// Deliberate corruption for negative-path auditor tests (audit
-    /// builds only): mutate internal state *without* journaling so the
-    /// write-completeness audit / strict integrity must flag it.
+    /// Deliberate corruption for the negative-path integrity tests:
+    /// each kind breaks one invariant check_integrity must flag.
     enum class Corrupt {
         RefCount,    ///< bump a ref count (basic integrity catches)
-        FanoutDup,   ///< duplicate a fanout entry (only strict catches)
+        FanoutDup,   ///< duplicate a fanout entry (strict's arena audit)
         StrashDrop,  ///< erase a live AND's strash entry
     };
-    void audit_corrupt_for_test(Corrupt kind, Var v);
-#endif
-
-    // -- mutation journal --------------------------------------------------
-
-    /// Attach a mutation journal: every structural change appends the
-    /// affected var(s) — reference-count changes, fanout-edge changes,
-    /// node creation and death, PO attachment.  Entries are encoded
-    /// `fp_encode(var, Read)` (footprint.hpp) so readers can match each
-    /// change against the aspect a speculation actually read; entries may
-    /// repeat and readers dedupe.  Detach with nullptr.  The journal
-    /// pointer never follows a copy of the graph (speculative copies must
-    /// not write into the original's journal), so `Aig copy = g;` is
-    /// always journal-free.
-    void set_change_log(std::vector<Var>* log) { change_log_.log = log; }
+    void corrupt_for_test(Corrupt kind, Var v);
 
     /// One-line description, e.g. "aig: pis=5 pos=2 ands=37 depth=9".
     std::string to_string() const;
@@ -481,56 +415,14 @@ private:
     static_assert(sizeof(Node) == 16,
                   "packed node record must stay within 16 bytes");
 
-    /// Non-owning journal pointer whose copy operations reset to null:
-    /// graph copies (including `current = current.compact()` assignments)
-    /// must never inherit the original's journal.
-    struct ChangeLogPtr {
-        std::vector<Var>* log = nullptr;
-        ChangeLogPtr() = default;
-        ChangeLogPtr(const ChangeLogPtr& /*other*/) {}
-        ChangeLogPtr& operator=(const ChangeLogPtr& /*other*/) {
-            log = nullptr;
-            return *this;
-        }
-        ChangeLogPtr(ChangeLogPtr&& other) noexcept { other.log = nullptr; }
-        ChangeLogPtr& operator=(ChangeLogPtr&& other) noexcept {
-            log = nullptr;
-            other.log = nullptr;
-            return *this;
-        }
-    };
-
-    void touch(Var v, Read k) {
-        if (change_log_.log != nullptr) [[unlikely]] {
-            change_log_.log->push_back(fp_encode(v, k));
-        }
-    }
-
     Var new_node();
     static std::uint64_t strash_key(Lit a, Lit b) {
         return (static_cast<std::uint64_t>(a) << 32) | b;
     }
-    void ref_var(Var v) {
-        touch(v, Read::Ref);
-        ++nodes_[v].ref;
-    }
+    void ref_var(Var v) { ++nodes_[v].ref; }
     void deref_var(Var v) {
         BG_ASSERT(nodes_[v].ref > 0, "reference count underflow");
-        touch(v, Read::Ref);
         --nodes_[v].ref;
-    }
-    // A fanout-edge change alters the fanin endpoint's fanout list (and
-    // the strash-key population over it) and the fanout endpoint's fanin
-    // structure — two different read classes.
-    void fanout_add(Var fanin, Var fanout) {
-        touch(fanin, Read::Fanout);
-        touch(fanout, Read::Struct);
-        fanouts_.push_back(fanin, fanout);
-    }
-    void fanout_remove(Var fanin, Var fanout) {
-        touch(fanin, Read::Fanout);
-        touch(fanout, Read::Struct);
-        fanouts_.remove(fanin, fanout);
     }
     /// Patch one fanout of `v` during replace(); may recurse.
     void patch_fanout(Var fanout, Var v, Lit repl);
@@ -544,7 +436,6 @@ private:
     std::vector<std::uint32_t> po_ref_counts_;
     detail::StrashMap strash_;
     std::size_t num_ands_ = 0;
-    ChangeLogPtr change_log_;
 };
 
 }  // namespace bg::aig

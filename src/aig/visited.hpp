@@ -3,11 +3,10 @@
 /// \file visited.hpp
 /// Epoch-stamped traversal scratch: the inline visited-ID replacement for
 /// the per-walk `std::vector<char>` / hash-set marks the MFFC, cut and
-/// partition walks used to allocate on every call.  A walk bumps the
+/// TFI walks used to allocate on every call.  A walk bumps the
 /// epoch (O(1) clear), stamps nodes as it visits them, and the next walk
 /// reuses the same backing array.  Intended to live in thread_local
-/// storage at each call-site so concurrent region walks never share
-/// scratch.
+/// storage at each call-site so concurrent checks never share scratch.
 
 #include <cstdint>
 #include <vector>

@@ -11,6 +11,9 @@ using aig::Aig;
 using aig::Var;
 using opt::OpKind;
 
+namespace {
+
+/// One row of the static features; thread-safe for distinct vars.
 void compute_static_row(const Aig& g, Var v, const opt::OptParams& params,
                         std::array<float, static_dim>& row) {
     if (!g.is_and(v) || g.is_dead(v)) {
@@ -31,6 +34,8 @@ void compute_static_row(const Aig& g, Var v, const opt::OptParams& params,
                              : -1.0F;
     }
 }
+
+}  // namespace
 
 StaticFeatures compute_static_features(const Aig& g,
                                        const opt::OptParams& params,

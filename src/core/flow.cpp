@@ -188,32 +188,10 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
         }
     };
 
-    // Intra-design parallel orchestration for the exact-evaluation steps:
-    // shares ctx.pool when present (for_each nests safely inside the
-    // outer candidate loop), else spins up a transient pool.  Results are
-    // bit-identical to the sequential pass either way.
-    std::optional<ThreadPool> intra_pool;
-    opt::IntraParallel intra;
-    const opt::IntraParallel* intra_ptr = nullptr;
-    if (cfg.intra_workers >= 2) {
-        if (ctx.pool != nullptr) {
-            intra.pool = ctx.pool;
-        } else {
-            intra_pool.emplace(cfg.intra_workers);
-            intra.pool = &*intra_pool;
-        }
-        intra_ptr = &intra;
-    }
-
     // Step 1: sample decision vectors (static features cached per design
-    // round by callers that run many flows, e.g. the FlowEngine, or
-    // maintained incrementally by a FeatureCache-owning iterated driver).
+    // round by callers that run many flows, e.g. the FlowEngine).
     StaticFeatures st_local;
     const StaticFeatures* st_src = ctx.static_features;
-    if (st_src == nullptr && ctx.feature_cache != nullptr &&
-        ctx.feature_cache->valid()) {
-        st_src = &ctx.feature_cache->features();
-    }
     if (st_src == nullptr) {
         st_local = compute_static_features(design, cfg.opt, ctx.pool);
         st_src = &st_local;
@@ -228,10 +206,6 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
     // matrix so inference sees one contiguous block.
     GraphCsr csr_local;
     const GraphCsr* csr_src = ctx.csr;
-    if (csr_src == nullptr && ctx.feature_cache != nullptr &&
-        ctx.feature_cache->valid()) {
-        csr_src = &ctx.feature_cache->csr();
-    }
     if (csr_src == nullptr) {
         csr_local = build_csr(design);
         csr_src = &csr_local;
@@ -287,8 +261,7 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
         const bool keep_graph = obj.needs_graph();
         evaluated[i] =
             evaluate_decisions(design, decisions[res.selected[i]], cfg.opt,
-                               obj, keep_graph ? &optimized : nullptr,
-                               intra_ptr);
+                               obj, keep_graph ? &optimized : nullptr);
         const auto& rec = evaluated[i];
         costs[i] = keep_graph
                        ? obj.measure(optimized)
@@ -351,7 +324,7 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
         // prove it against the input design.
         Aig best_graph;
         (void)evaluate_decisions(design, decisions[res.selected[best_idx]],
-                                 cfg.opt, obj, &best_graph, intra_ptr);
+                                 cfg.opt, obj, &best_graph);
         if (ctx.prover != nullptr) {
             res.verification = ctx.prover->check(design, best_graph);
         } else {
@@ -377,29 +350,8 @@ IteratedFlowResult run_iterated_flow(const Aig& design,
     FlowContext ctx;
     ctx.pool = pool;
 
-    // Commit-path intra parallelism mirrors run_flow's: share the
-    // caller's pool or spin up a transient one.  A null pool makes
-    // orchestrate_parallel fall back to the sequential pass (journaled,
-    // so the feature cache still gets its touched set).
-    std::optional<ThreadPool> intra_pool;
-    opt::IntraParallel intra;
-    if (cfg.intra_workers >= 2) {
-        if (pool != nullptr) {
-            intra.pool = pool;
-        } else {
-            intra_pool.emplace(cfg.intra_workers);
-            intra.pool = &*intra_pool;
-        }
-    }
-    FeatureCache cache;  // incremental mode only
     for (std::size_t round = 0; round < max_rounds; ++round) {
         round_cfg.seed = cfg.seed + round;  // fresh samples per round
-        if (cfg.incremental_features) {
-            if (!cache.valid()) {
-                cache.rebuild(current, round_cfg.opt, pool);
-            }
-            ctx.feature_cache = &cache;
-        }
         const auto flow = run_flow(current, model, round_cfg, ctx);
         // Stop when the round's objective-best does not strictly improve
         // on the round's entry cost (under size: best_reduction <= 0,
@@ -408,25 +360,8 @@ IteratedFlowResult run_iterated_flow(const Aig& design,
             !obj.better(flow.best_cost, flow.original_cost)) {
             break;
         }
-        // Commit the winning decision vector; orchestrate_parallel is
-        // pinned bit-identical to orchestrate and additionally reports
-        // the touched set the feature cache consumes.
-        auto decisions = flow.best_decisions;
-        const auto commit = opt::orchestrate_parallel(
-            current, decisions, round_cfg.opt, obj, intra);
-        if (!cfg.incremental_features) {
-            current = current.compact();
-        } else {
-            cache.update(current, round_cfg.opt, commit.touched, pool);
-            // Defer compaction until tombstones dominate; compacting
-            // remaps var ids, so the cache restarts from a full rebuild.
-            const std::size_t dead = current.num_slots() - 1 -
-                                     current.num_pis() - current.num_ands();
-            if (2 * dead >= current.num_slots()) {
-                current = current.compact();
-                cache.invalidate();
-            }
-        }
+        opt::orchestrate(current, flow.best_decisions, round_cfg.opt, obj);
+        current = current.compact();
         out.per_round_reduction.push_back(flow.best_reduction);
     }
     out.final_size = current.num_ands();

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/dataset.hpp"
-#include "core/feature_cache.hpp"
 #include "core/metrics.hpp"
 #include "core/model.hpp"
 #include "core/sampling.hpp"
@@ -53,20 +52,12 @@ struct FlowConfig {
     /// Engine budgets for the verification gate (ignored when the caller
     /// supplies FlowContext::prover, which carries its own options).
     verify::PortfolioOptions verify_opts;
-    /// Intra-design parallelism: when >= 2, every committed or evaluated
-    /// orchestration runs the partition/speculate/ordered-commit path
-    /// (opt::orchestrate_parallel) — bit-identical to the sequential pass
-    /// at any worker count.  Runs on FlowContext::pool when one is set
-    /// (nesting-safe with the outer sample loops), else on a transient
-    /// pool of this many workers.  0/1 = sequential.
-    std::size_t intra_workers = 0;
-    /// Iterated flows only: maintain static features / CSR incrementally
-    /// across rounds (FeatureCache) instead of rebuilding per round.
-    /// Feature rows are bit-identical to a full rebuild; compaction is
-    /// deferred until half the slots are tombstones, so round-by-round
-    /// var ids (and therefore sampling) differ from the compact-every-
-    /// round default — results stay deterministic either way.
-    bool incremental_features = false;
+    /// Fixed at the only values the library supports: every commit and
+    /// evaluation is one sequential Algorithm-1 pass, and features are
+    /// rebuilt each round.  Not settable; kept only because
+    /// perfbench/src/replay.cpp still reads both names.
+    static constexpr std::size_t intra_workers = 0;
+    static constexpr bool incremental_features = false;
 };
 
 /// The objective a config resolves to (size when unset).
@@ -182,11 +173,6 @@ struct FlowContext {
     /// Null + verify => run_flow builds a transient one from
     /// cfg.verify_opts on the same pool.
     verify::PortfolioCec* prover = nullptr;
-    /// Incremental per-design feature state (dirty-region tracking).
-    /// When set and valid, run_flow reads static features / CSR from it
-    /// (static_features / csr, when also set, win); iterated drivers own
-    /// the cache and update() it with each commit's touched set.
-    FeatureCache* feature_cache = nullptr;
 };
 
 /// Run the full sample -> prune -> evaluate flow on one design.  The

@@ -74,14 +74,9 @@ DecisionVector mutate_decisions(const Aig& g, const DecisionVector& base,
 SampleRecord evaluate_decisions(const Aig& design, DecisionVector decisions,
                                 const opt::OptParams& params,
                                 const opt::Objective& objective,
-                                Aig* optimized_out,
-                                const opt::IntraParallel* intra) {
+                                Aig* optimized_out) {
     Aig copy = design;
-    const auto res =
-        intra != nullptr
-            ? opt::orchestrate_parallel(copy, decisions, params, objective,
-                                        *intra)
-            : opt::orchestrate(copy, decisions, params, objective);
+    const auto res = opt::orchestrate(copy, decisions, params, objective);
     SampleRecord rec;
     rec.decisions = std::move(decisions);
     rec.applied = res.applied;

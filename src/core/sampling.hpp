@@ -56,16 +56,12 @@ opt::DecisionVector mutate_decisions(const aig::Aig& g,
 /// orchestration commits under `objective` (default size, the paper's
 /// behavior); `optimized_out`, when given, receives the optimized copy so
 /// graph-needing objectives can measure it before it is discarded.
-/// `intra`, when given, routes the pass through the partition/speculate
-/// parallel orchestrator on its pool — bit-identical results, so callers
-/// may mix the two paths freely.
 SampleRecord evaluate_decisions(const aig::Aig& design,
                                 opt::DecisionVector decisions,
                                 const opt::OptParams& params = {},
                                 const opt::Objective& objective =
                                     opt::size_objective(),
-                                aig::Aig* optimized_out = nullptr,
-                                const opt::IntraParallel* intra = nullptr);
+                                aig::Aig* optimized_out = nullptr);
 
 /// N purely random samples (Fig 2 "Random").  When `lut_labels` is
 /// non-null every record additionally carries the K-LUT mapping size of

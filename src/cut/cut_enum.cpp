@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "aig/footprint.hpp"
 #include "tt/word_ops.hpp"
 #include "util/contracts.hpp"
 
@@ -19,7 +18,6 @@ std::vector<Cut> enumerate_cuts(const Aig& g, Var root, unsigned k,
     BG_EXPECTS(k >= 2 && k <= 8, "cut size must be in [2, 8]");
     BG_EXPECTS(g.is_and(root), "cuts are enumerated for AND nodes");
 
-    aig::fp_touch(root, aig::Read::Struct);
     std::vector<Cut> out;
     // Seen leaf-sets: the expansion budget keeps this small (a few
     // hundred short sorted vectors), so a flat vector with linear lookup
@@ -38,7 +36,6 @@ std::vector<Cut> enumerate_cuts(const Aig& g, Var root, unsigned k,
         // Try expanding each AND leaf.
         for (std::size_t i = 0; i < cut.size(); ++i) {
             const Var leaf = cut[i];
-            aig::fp_touch(leaf, aig::Read::Struct);
             if (!g.is_and(leaf)) {
                 continue;
             }
@@ -51,7 +48,6 @@ std::vector<Cut> enumerate_cuts(const Aig& g, Var root, unsigned k,
             }
             for (const aig::NodeRef f : g.fanin_refs(leaf)) {
                 const Var u = f.index();
-                aig::fp_touch(u, aig::Read::Struct);
                 if (u != 0 &&
                     std::find(next.begin(), next.end(), u) == next.end()) {
                     next.push_back(u);
@@ -83,18 +79,15 @@ std::vector<Cut> enumerate_cuts(const Aig& g, Var root, unsigned k,
 
 std::vector<Var> reconv_cut(const Aig& g, Var root, unsigned max_leaves) {
     BG_EXPECTS(max_leaves >= 2, "a cut needs at least two leaves");
-    aig::fp_touch(root, aig::Read::Struct);
     if (!g.is_and(root)) {
         return {};
     }
     std::vector<Var> leaves{root};
 
     const auto expansion_cost = [&](Var leaf) {
-        aig::fp_touch(leaf, aig::Read::Struct);
         int fresh = 0;
         for (const aig::NodeRef f : g.fanin_refs(leaf)) {
             const Var u = f.index();
-            aig::fp_touch(u, aig::Read::Struct);
             if (u != 0 &&
                 std::find(leaves.begin(), leaves.end(), u) == leaves.end()) {
                 ++fresh;
@@ -128,7 +121,6 @@ std::vector<Var> reconv_cut(const Aig& g, Var root, unsigned max_leaves) {
         leaves.erase(std::find(leaves.begin(), leaves.end(), best));
         for (const aig::NodeRef f : g.fanin_refs(best)) {
             const Var u = f.index();
-            aig::fp_touch(u, aig::Read::Struct);
             if (u != 0 &&
                 std::find(leaves.begin(), leaves.end(), u) == leaves.end()) {
                 leaves.push_back(u);
@@ -162,7 +154,6 @@ void ConeWindow::build(const Aig& g, Var root,
         }
     }
     // Iterative post-order evaluation from the root.
-    aig::fp_touch(root, aig::Read::Struct);
     stack_.assign(1, root);
     while (!stack_.empty()) {
         const Var v = stack_.back();
@@ -173,11 +164,8 @@ void ConeWindow::build(const Aig& g, Var root,
         BG_ASSERT(g.is_and(v),
                   "cone walk escaped the cut (leaves do not form a cut)");
         const auto [f0, f1] = g.fanin_refs(v);
-        aig::fp_touch(v, aig::Read::Struct);
         const Var u0 = f0.index();
         const Var u1 = f1.index();
-        aig::fp_touch(u0, aig::Read::Struct);
-        aig::fp_touch(u1, aig::Read::Struct);
         const bool need0 = u0 != 0 && !index_.contains(u0);
         const bool need1 = u1 != 0 && !index_.contains(u1);
         if (need0) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "aig/footprint.hpp"
 #include "aig/visited.hpp"
 #include "util/contracts.hpp"
 
@@ -20,7 +19,7 @@ namespace {
 
 // Per-thread walk scratch (epoch-stamped, so each call clears in O(1)
 // instead of rebuilding hash sets).  thread_local keeps concurrent
-// region walks independent.
+// checks independent.
 struct MffcScratch {
     aig::EpochMarks leaf_set;
     aig::EpochMap<std::uint32_t> deficit;
@@ -35,10 +34,6 @@ void deref_rec(const Aig& g, Var v, MffcScratch& s, std::vector<Var>& out) {
     out.push_back(v);
     for (const aig::NodeRef f : g.fanin_refs(v)) {
         const Var u = f.index();
-        // The deficit test reads u's reference count, and u's fanins are
-        // walked if it joins the cone.
-        aig::fp_touch(u, aig::Read::Ref);
-        aig::fp_touch(u, aig::Read::Struct);
         const std::uint32_t d = ++s.deficit.slot(u);
         BG_ASSERT(d <= g.ref_count(u), "MFFC deficit exceeds reference count");
         if (d == g.ref_count(u) && g.is_and(u) && !s.leaf_set.test(u)) {
@@ -59,7 +54,6 @@ MffcResult mffc(const Aig& g, Var root, std::span<const Var> leaves) {
         s.leaf_set.set(l);
     }
     BG_EXPECTS(!s.leaf_set.test(root), "root cannot be its own leaf");
-    aig::fp_touch(root, aig::Read::Struct);
     MffcResult res;
     deref_rec(g, root, s, res.nodes);
     return res;

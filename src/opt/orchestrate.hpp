@@ -15,10 +15,6 @@
 #include "opt/objective.hpp"
 #include "opt/transform.hpp"
 
-namespace bg {
-class ThreadPool;
-}  // namespace bg
-
 namespace bg::opt {
 
 /// Per-node decision vector; index = Var id of the graph at entry.
@@ -37,16 +33,6 @@ struct OrchestrationResult {
     /// Applicable candidates the objective vetoed (always 0 under the
     /// default SizeObjective, which accepts whatever the check accepts).
     std::size_t num_rejected = 0;
-
-    /// Intra-design parallel statistics (zero on the sequential path).
-    std::size_t num_regions = 0;     ///< MFFC-disjoint regions partitioned
-    std::size_t num_speculated = 0;  ///< checks speculated on the pool
-    std::size_t num_conflicts = 0;   ///< speculations invalidated, re-checked
-    /// Vars structurally touched by the committed transforms (sorted,
-    /// deduplicated) — the dirty set incremental feature maintenance
-    /// consumes.  Populated by orchestrate_parallel (including its
-    /// sequential fallback); plain orchestrate leaves it empty.
-    std::vector<aig::Var> touched;
 
     int reduction() const {
         return static_cast<int>(original_size) -
@@ -71,43 +57,15 @@ OrchestrationResult orchestrate(aig::Aig& g,
                                 const OptParams& params = {},
                                 const Objective& objective = size_objective());
 
-/// Knobs of the intra-design parallel orchestrator.
-struct IntraParallel {
-    /// Pool the speculation waves run on; nullptr (or a pool with fewer
-    /// than two workers) falls back to the sequential path.
-    ThreadPool* pool = nullptr;
-    /// Upper bound on candidates speculated per wave — bounds the
-    /// footprint memory held at once.  The orchestrator additionally caps
-    /// waves at 16 candidates per pool worker: commits stale their wave's
-    /// tail, so oversized waves only buy redundant re-speculation.
-    std::size_t spec_batch = 2048;
-    /// Preferred roots per MFFC-disjoint region (the parallel work unit).
-    std::size_t region_roots = 32;
-    /// Per-candidate read-footprint cap; overflowing candidates are
-    /// simply re-checked at commit time.
-    std::size_t footprint_cap = 64 * 1024;
-};
-
-/// Algorithm 1 with partition/speculate/ordered-commit parallelism:
-/// candidate checks are speculated region-parallel on the pool against a
-/// frozen graph, then committed one at a time in the exact sequential
-/// topological order.  A commit journals every var it structurally
-/// touches; a speculated check whose recorded read-set intersects a
-/// later commit is invalidated and transparently re-checked inline, so
-/// the committed result — graph, counters, applied vector — is
-/// bit-identical to `orchestrate` at any worker count.  Depth-aware
-/// objectives (which refresh levels mid-pass) take the sequential path.
-OrchestrationResult orchestrate_parallel(
-    aig::Aig& g, std::span<const OpKind> decisions,
-    const OptParams& params = {},
-    const Objective& objective = size_objective(),
-    const IntraParallel& intra = {});
-
 /// Uniform decision vector (the same operation everywhere).
 DecisionVector uniform_decisions(const aig::Aig& g, OpKind op);
 
 /// Persist / load a decision vector in the paper's CSV form
 /// (columns: node, decision; decision in {0, 1, 2, 3} = rw/rs/rf/none).
+/// Loading throws std::runtime_error naming the offending row when a row
+/// is malformed: a wrong column count, a field that is not wholly a
+/// decimal integer, a node id out of sequence, or a decision outside
+/// {0, 1, 2, 3}.
 void save_decisions_csv(const std::filesystem::path& path,
                         std::span<const OpKind> decisions);
 DecisionVector load_decisions_csv(const std::filesystem::path& path);

@@ -1,6 +1,5 @@
 #include <algorithm>
 
-#include "aig/footprint.hpp"
 #include "aig/visited.hpp"
 #include "cut/cut_enum.hpp"
 #include "opt/transform.hpp"
@@ -24,9 +23,7 @@ namespace {
 
 /// Transitive fanout of v (including v) marked into epoch scratch —
 /// replaces the per-call hash set; thread_local at the call site keeps
-/// concurrent region walks independent.  Every member's fanout list is
-/// read, so every member is footprint-touched: a later fanout change
-/// anywhere in the TFO invalidates a speculated check.
+/// concurrent checks independent.
 void tfo_mark(const Aig& g, Var v, aig::EpochMarks& out) {
     out.reset(g.num_slots());
     out.set(v);
@@ -34,7 +31,6 @@ void tfo_mark(const Aig& g, Var v, aig::EpochMarks& out) {
     while (!stack.empty()) {
         const Var u = stack.back();
         stack.pop_back();
-        aig::fp_touch(u, aig::Read::Fanout);
         for (const Var w : g.fanouts(u)) {
             if (out.insert(w)) {
                 stack.push_back(w);
@@ -83,9 +79,7 @@ CheckResult check_resub(const Aig& g, Var v, const OptParams& params) {
         grew = false;
         const auto snapshot = divisors;
         for (const Var d : snapshot) {
-            aig::fp_touch(d, aig::Read::Fanout);  // scans d's fanout list
             for (const Var w : g.fanouts(d)) {
-                aig::fp_touch(w, aig::Read::Struct);  // reads w's fanins
                 if (win.contains(w) || tfo.test(w) || dying_set.test(w)) {
                     continue;
                 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "aig/footprint.hpp"
 #include "aig/visited.hpp"
 #include "util/contracts.hpp"
 
@@ -202,17 +201,8 @@ int count_added_nodes(const Aig& g, Var root, const Candidate& cand,
             continue;
         }
         if (a.concrete() && b.concrete()) {
-            // Strash reads: any strash-key change over (a, b) — creation,
-            // death, or an in-place patch producing that key — journals a
-            // fanout-edge change on at least one operand var, so
-            // fanout-class reads of both operands keep a miss-result
-            // speculation sound; a hit's node is recorded Struct so its
-            // death or patch invalidates.
-            aig::fp_touch(aig::lit_var(a.lit), aig::Read::Fanout);
-            aig::fp_touch(aig::lit_var(b.lit), aig::Read::Fanout);
             const Lit hit = g.lookup_and(a.lit, b.lit);
             if (hit != aig::null_lit) {
-                aig::fp_touch(aig::lit_var(hit), aig::Read::Struct);
                 slot = ExtLit{hit, 0};
                 const Var hv = aig::lit_var(hit);
                 if (g.is_and(hv) && dying_set.test(hv) &&

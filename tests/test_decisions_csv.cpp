@@ -2,9 +2,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "opt/orchestrate.hpp"
-#include "util/contracts.hpp"
 
 namespace {
 
@@ -85,12 +86,45 @@ TEST_F(DecisionsCsv, RejectsSparseOrShuffledIndices) {
 
 TEST_F(DecisionsCsv, RejectsOutOfRangeDecision) {
     const auto p = write_text("bad_op.csv", "node,decision\n0,7\n");
-    EXPECT_THROW((void)load_decisions_csv(p), bg::ContractViolation);
+    EXPECT_THROW((void)load_decisions_csv(p), std::runtime_error);
 }
 
 TEST_F(DecisionsCsv, RejectsNonNumericCells) {
     const auto p = write_text("garbage.csv", "node,decision\nzero,rw\n");
-    EXPECT_ANY_THROW((void)load_decisions_csv(p));
+    EXPECT_THROW((void)load_decisions_csv(p), std::runtime_error);
+}
+
+// Each malformed field sits in data row 2, after a valid row 1: the load
+// must fail with std::runtime_error (never a partial parse, a contract
+// violation or a std::stoi exception) and the message must name row 2.
+TEST_F(DecisionsCsv, MalformedFieldsThrowRuntimeErrorNamingTheRow) {
+    const char* bad_rows[] = {
+        "1,1x",           // trailing junk after the decision
+        "x,1",            // non-numeric node id
+        "1,9",            // decision above 3
+        "1,-1",           // negative decision
+        "1,99999999999",  // decision overflows int
+        "1, 1",           // embedded whitespace
+        "1,+1",           // explicit sign
+        "1,",             // empty decision
+        "-1,1",           // negative node id
+        "99999999999999999999999,1",  // node id overflows size_t
+    };
+    for (const char* row : bad_rows) {
+        SCOPED_TRACE(row);
+        const std::string text = std::string("node,decision\n0,1\n") + row +
+                                 "\n";
+        const auto p = write_text("malformed.csv", text.c_str());
+        try {
+            (void)load_decisions_csv(p);
+            ADD_FAILURE() << "accepted a malformed row";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("row 2"), std::string::npos)
+                << e.what();
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "wrong exception type: " << e.what();
+        }
+    }
 }
 
 TEST_F(DecisionsCsv, MissingFileThrows) {

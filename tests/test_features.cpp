@@ -158,6 +158,32 @@ TEST(Csr, TraceFeaturesOnRealDesign) {
     EXPECT_EQ(applied_count, res.num_applied);
 }
 
+/// The static rows as the header documents them, computed by one plain
+/// loop on the calling thread: the reference the pooled path must match.
+StaticFeatures sequential_static_rows(const Aig& g,
+                                      const bg::opt::OptParams& params) {
+    StaticFeatures rows(g.num_slots());
+    for (Var v = 0; v < g.num_slots(); ++v) {
+        auto& row = rows[v];
+        if (!g.is_and(v) || g.is_dead(v)) {
+            row.fill(pi_fill);
+            continue;
+        }
+        row[0] = g.fanin0_ref(v).complemented() ? 1.0F : 0.0F;
+        row[1] = g.fanin1_ref(v).complemented() ? 1.0F : 0.0F;
+        const OpKind ops[3] = {OpKind::Rewrite, OpKind::Resub,
+                               OpKind::Refactor};
+        for (int k = 0; k < 3; ++k) {
+            const auto res = bg::opt::check_op(g, v, ops[k], params);
+            row[2 + 2 * k] = res.applicable ? 1.0F : 0.0F;
+            row[3 + 2 * k] = res.applicable
+                                 ? static_cast<float>(res.gain.size_delta)
+                                 : -1.0F;
+        }
+    }
+    return rows;
+}
+
 TEST(StaticFeatures, ConcurrentCallsOnSharedPoolMatchSingleThreaded) {
     // Several jobs compute static features at once on one pool (nesting
     // their per-node loops in it) while other jobs fill the shared rewrite
@@ -170,11 +196,7 @@ TEST(StaticFeatures, ConcurrentCallsOnSharedPoolMatchSingleThreaded) {
     const bg::opt::OptParams params;
     std::vector<StaticFeatures> want;
     for (const auto& g : designs) {
-        StaticFeatures rows(g.num_slots());
-        for (Var v = 0; v < g.num_slots(); ++v) {
-            compute_static_row(g, v, params, rows[v]);
-        }
-        want.push_back(std::move(rows));
+        want.push_back(sequential_static_rows(g, params));
     }
 
     bg::ThreadPool pool(4);

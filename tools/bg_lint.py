@@ -15,8 +15,8 @@ Rules (see docs/static-analysis.md for rationale and waiver workflow):
                    fanin1_ref / fanin_refs); the serializers in src/io
                    deliberately emit the AIGER literal encoding.
   mutex-in-foreach No mutex acquisition inside ThreadPool::for_each bodies
-                   in src/opt: speculation waves must stay lock-free
-                   (read-only against a frozen graph) — a lock in a wave
+                   in src/opt: parallel checks must stay lock-free
+                   (read-only against a shared graph) — a lock in such a
                    body is either a data-race bandage or a scalability bug.
 
 Waivers: a finding is suppressed when the matching line, or the line
@@ -142,7 +142,7 @@ def lint_file(path: pathlib.Path, findings: list[str]) -> None:
                 ):
                     findings.append(
                         f"{rel}:{i + 1}: mutex acquisition inside a "
-                        f"ThreadPool::for_each body (speculation waves must "
+                        f"ThreadPool::for_each body (parallel checks must "
                         f"stay lock-free) [mutex-in-foreach]"
                     )
 
