@@ -1,12 +1,15 @@
 /// \file bench_gemm.cpp
-/// Micro-benchmark for the dense GEMM layer: naive (seed) triple loop vs
-/// the blocked/register-tiled kernel, sequential and ThreadPool-sharded.
-/// Every timed configuration is also parity-checked against the naive
+/// Micro-benchmark for the dense GEMM layer — naive (seed) triple loop vs
+/// the blocked/register-tiled kernel — and for model inference: the fused
+/// sample-major eval trunk (predict_batch_head) vs the batched GEMM path
+/// (forward(train=false)) on c5315 at quick widths, 600 samples.  Every
+/// timed configuration is also parity-checked (bit for bit) against its
 /// reference, so a wrong-but-fast kernel cannot slip through.
 ///
 /// Usage: bench_gemm [--quick] [--workers N]
 ///   --quick     fewer repetitions (CI nightly mode)
-///   --workers   pool width for the parallel rows (default: hardware)
+///   --workers   pool width for the pooled inference row (default:
+///               hardware)
 
 #include <algorithm>
 #include <cstdio>
@@ -14,6 +17,9 @@
 #include <cstring>
 #include <vector>
 
+#include "circuits/registry.hpp"
+#include "core/features.hpp"
+#include "core/model.hpp"
 #include "nn/matrix.hpp"
 #include "util/parallel.hpp"
 #include "util/progress.hpp"
@@ -60,14 +66,67 @@ double time_best(Fn&& fn, int reps, double min_time) {
 }
 
 bool bit_equal(const Matrix& a, const Matrix& b) {
-    if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.size() * sizeof(float)) == 0;
+}
+
+/// Inference row: predict_batch_head (fused per-sample trunk, then the MLP
+/// in kPredictBatch chunks) against forward(train=false) over the same
+/// chunks, on c5315 with 600 samples of random features at quick widths.
+/// Returns false when the predictions differ in any bit.
+bool inference_row(bg::ThreadPool& pool, int reps, double min_time) {
+    using bg::core::BoolGebraModel;
+    const auto g = bg::circuits::make_benchmark_scaled("c5315", 1.0);
+    const auto csr = bg::core::build_csr(g);
+    const std::size_t n = csr.num_nodes();
+    constexpr std::size_t samples = 600;
+    constexpr std::size_t chunk = BoolGebraModel::kPredictBatch;
+    bg::Rng rng(0xC531);
+    const Matrix stacked = random_matrix(
+        samples * n, static_cast<std::size_t>(bg::core::feature_dim), rng);
+    BoolGebraModel model(bg::core::ModelConfig::quick());
+
+    std::vector<double> reference(samples);
+    const auto run_reference = [&] {
+        for (std::size_t start = 0; start < samples; start += chunk) {
+            const std::size_t b = std::min(chunk, samples - start);
+            const Matrix pred = model.forward(
+                stacked.rows_view(start * n, b * n), csr, b,
+                /*train=*/false);
+            for (std::size_t s = 0; s < b; ++s) {
+                reference[start + s] = pred.at(s, 0);
+            }
+        }
+    };
+    run_reference();
+    const auto fused = model.predict_batch_head(csr, n, stacked, 0);
+    const auto pooled =
+        model.predict_batch_head(csr, n, stacked, 0, chunk, &pool);
+    const std::size_t bytes = samples * sizeof(double);
+    if (std::memcmp(fused.data(), reference.data(), bytes) != 0 ||
+        std::memcmp(pooled.data(), reference.data(), bytes) != 0) {
+        std::printf("%-14s PARITY FAILURE\n", "infer-c5315");
         return false;
     }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a.data()[i] != b.data()[i]) {
-            return false;
-        }
-    }
+    const double t_ref = time_best(run_reference, reps, min_time);
+    const double t_fused = time_best(
+        [&] { (void)model.predict_batch_head(csr, n, stacked, 0); }, reps,
+        min_time);
+    const double t_pool = time_best(
+        [&] {
+            (void)model.predict_batch_head(csr, n, stacked, 0, chunk, &pool);
+        },
+        reps, min_time);
+    std::printf("\nInference, c5315 (%zu nodes), %zu samples, quick widths;"
+                " predictions bit-identical\n",
+                n, samples);
+    std::printf("%-34s %9.1f ms\n", "forward(train=false), 64-chunks",
+                t_ref * 1e3);
+    std::printf("%-34s %9.1f ms %8.2fx\n", "predict_batch_head", t_fused * 1e3,
+                t_ref / t_fused);
+    std::printf("%-34s %9.1f ms %8.2fx\n", "predict_batch_head, pool",
+                t_pool * 1e3, t_ref / t_pool);
     return true;
 }
 
@@ -105,8 +164,8 @@ int main(int argc, char** argv) {
     std::printf("GEMM kernels (Release, floats).  naive = seed triple loop;"
                 " blocked = register-tiled; pool = %zu workers\n\n",
                 pool.size());
-    std::printf("%-14s %10s %10s %10s %9s %9s\n", "case", "naive", "blocked",
-                "pool", "speedup", "pool-x");
+    std::printf("%-14s %10s %10s %9s\n", "case", "naive", "blocked",
+                "speedup");
 
     bool all_ok = true;
     for (const auto& c : cases) {
@@ -117,9 +176,7 @@ int main(int argc, char** argv) {
         bg::nn::matmul_naive(a, b, ref);
         Matrix out;
         bg::nn::matmul(a, b, out);
-        Matrix out_pool;
-        bg::nn::matmul(a, b, out_pool, &pool);
-        if (!bit_equal(ref, out) || !bit_equal(ref, out_pool)) {
+        if (!bit_equal(ref, out)) {
             std::printf("%-14s PARITY FAILURE\n", c.name);
             all_ok = false;
             continue;
@@ -131,11 +188,8 @@ int main(int argc, char** argv) {
             [&] { bg::nn::matmul_naive(a, b, out); }, reps, min_time);
         const double t_blocked =
             time_best([&] { bg::nn::matmul(a, b, out); }, reps, min_time);
-        const double t_pool = time_best(
-            [&] { bg::nn::matmul(a, b, out, &pool); }, reps, min_time);
-        std::printf("%-14s %8.2fGF %8.2fGF %8.2fGF %8.2fx %8.2fx\n", c.name,
-                    gflop / t_naive, gflop / t_blocked, gflop / t_pool,
-                    t_naive / t_blocked, t_naive / t_pool);
+        std::printf("%-14s %8.2fGF %8.2fGF %8.2fx\n", c.name,
+                    gflop / t_naive, gflop / t_blocked, t_naive / t_blocked);
     }
 
     // Transposed variants at the training shapes.
@@ -153,8 +207,8 @@ int main(int argc, char** argv) {
             [&] { bg::nn::matmul_tn_naive(a, b, out); }, reps, min_time);
         const double tn_blocked =
             time_best([&] { bg::nn::matmul_tn(a, b, out); }, reps, min_time);
-        std::printf("%-14s %8.2fGF %8.2fGF %10s %8.2fx\n", "tn-256",
-                    gflop / tn_naive, gflop / tn_blocked, "-",
+        std::printf("%-14s %8.2fGF %8.2fGF %8.2fx\n", "tn-256",
+                    gflop / tn_naive, gflop / tn_blocked,
                     tn_naive / tn_blocked);
 
         const Matrix d = random_matrix(256, 192, rng);
@@ -169,16 +223,18 @@ int main(int argc, char** argv) {
             [&] { bg::nn::matmul_nt_naive(d, e, out_nt); }, reps, min_time);
         const double nt_blocked = time_best(
             [&] { bg::nn::matmul_nt(d, e, out_nt); }, reps, min_time);
-        std::printf("%-14s %8.2fGF %8.2fGF %10s %8.2fx\n", "nt-256",
-                    gflop_nt / nt_naive, gflop_nt / nt_blocked, "-",
+        std::printf("%-14s %8.2fGF %8.2fGF %8.2fx\n", "nt-256",
+                    gflop_nt / nt_naive, gflop_nt / nt_blocked,
                     nt_naive / nt_blocked);
     }
 
+    all_ok = inference_row(pool, reps, min_time) && all_ok;
+
     if (!all_ok) {
-        std::printf("\nFAIL: blocked kernel does not match the naive"
-                    " reference bit-for-bit\n");
+        std::printf("\nFAIL: a kernel does not match its reference"
+                    " bit-for-bit\n");
         return 1;
     }
-    std::printf("\nall kernels parity-checked against the naive reference\n");
+    std::printf("\nall kernels parity-checked against their references\n");
     return 0;
 }

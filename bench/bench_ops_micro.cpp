@@ -6,8 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <optional>
-
 #include "aig/simulation.hpp"
 #include "bdd/cec_bdd.hpp"
 #include "circuits/registry.hpp"
@@ -22,7 +20,6 @@
 #include "tt/factor.hpp"
 #include "tt/isop.hpp"
 #include "tt/npn.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -201,8 +198,9 @@ void BM_StaticFeatures(benchmark::State& state) {
 BENCHMARK(BM_StaticFeatures);
 
 void BM_MeanAggregate(benchmark::State& state) {
-    // The GraphSAGE neighbor aggregation — the next-largest inference
-    // cost after the blocked GEMMs.  Arg(0)=1 runs the fast path with the
+    // The batched GraphSAGE neighbor aggregation of the training forward
+    // (inference aggregates inside the fused trunk kernel, timed by
+    // bench_gemm's inference row).  Arg(0)=1 runs the fast path with the
     // CSR's precomputed 1/deg (what FlowContext-cached CSRs provide);
     // Arg(0)=0 strips it to measure the per-call-division fallback.
     auto g = design();
@@ -227,37 +225,6 @@ void BM_MeanAggregate(benchmark::State& state) {
         static_cast<std::int64_t>(batch * csr.neighbors.size() * feat));
 }
 BENCHMARK(BM_MeanAggregate)->Arg(0)->Arg(1);
-
-void BM_MeanAggregatePooled(benchmark::State& state) {
-    // The edge-parallel sharded aggregation on a worker pool (Arg = pool
-    // size; 0 = serial reference).  Bit-identical to BM_MeanAggregate's
-    // serial result by construction — this measures scheduling overhead
-    // vs. speedup at the flow's real batch shape.
-    const auto g = design();
-    const auto csr = bg::core::build_csr(g);
-    constexpr std::size_t batch = 8;
-    constexpr std::size_t feat = 48;
-    bg::Rng rng(6);
-    bg::nn::Matrix x(batch * csr.num_nodes(), feat);
-    for (auto& v : x.data()) {
-        v = rng.next_float();
-    }
-    const auto workers = static_cast<std::size_t>(state.range(0));
-    std::optional<bg::ThreadPool> pool;
-    if (workers > 0) {
-        pool.emplace(workers);
-    }
-    bg::nn::Matrix h;
-    for (auto _ : state) {
-        bg::nn::mean_aggregate(x, csr, batch, h,
-                               pool ? &*pool : nullptr);
-        benchmark::DoNotOptimize(h.data().data());
-    }
-    state.SetItemsProcessed(
-        state.iterations() *
-        static_cast<std::int64_t>(batch * csr.neighbors.size() * feat));
-}
-BENCHMARK(BM_MeanAggregatePooled)->Arg(0)->Arg(2)->Arg(4);
 
 void BM_SageForward(benchmark::State& state) {
     const auto g = design();

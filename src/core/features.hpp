@@ -23,6 +23,10 @@
 #include "opt/orchestrate.hpp"
 #include "opt/transform.hpp"
 
+namespace bg {
+class ThreadPool;  // util/parallel.hpp
+}
+
 namespace bg::core {
 
 inline constexpr int static_dim = 8;

@@ -93,8 +93,7 @@ void BoolGebraModel::standardize_into(nn::ConstMatrixView x,
 }
 
 Matrix BoolGebraModel::forward(nn::ConstMatrixView x, const nn::Csr& csr,
-                               std::size_t batch, bool train,
-                               bg::ThreadPool* pool) {
+                               std::size_t batch, bool train) {
     BG_EXPECTS(x.rows() == batch * csr.num_nodes(),
                "feature rows must equal batch * nodes");
     cache_num_nodes_ = csr.num_nodes();
@@ -104,23 +103,49 @@ Matrix BoolGebraModel::forward(nn::ConstMatrixView x, const nn::Csr& csr,
         standardize_into(x, owned);
         cur = owned;
     }
-    Matrix h = convs_[0].forward(cur, csr, batch, train, pool);
+    Matrix h = convs_[0].forward(cur, csr, batch, train);
     h = conv_act_[0].forward(h, train);
     h = conv_drop_[0].forward(h, train, rng_);
     for (std::size_t i = 1; i < convs_.size(); ++i) {
-        h = convs_[i].forward(h, csr, batch, train, pool);
+        h = convs_[i].forward(h, csr, batch, train);
         h = conv_act_[i].forward(h, train);
         h = conv_drop_[i].forward(h, train, rng_);
     }
     Matrix pooled;
     nn::mean_pool(h, batch, pooled);
-    Matrix y = linears_[0].forward(pooled, train, pool);
+    Matrix y = linears_[0].forward(pooled, train);
     y = mlp_act0_.forward(y, train);
     y = bn0_.forward(y, train);
-    y = linears_[1].forward(y, train, pool);
+    y = linears_[1].forward(y, train);
     y = bn1_.forward(y, train);
-    y = linears_[2].forward(y, train, pool);
+    y = linears_[2].forward(y, train);
     return out_act_.forward(y, train);
+}
+
+Matrix BoolGebraModel::trunk_eval(nn::ConstMatrixView x, const nn::Csr& csr,
+                                  std::size_t batch,
+                                  nn::EvalScratch& scratch,
+                                  bg::ThreadPool* pool) const {
+    // Dropout is the identity at eval time and is skipped outright.
+    const bool standardize = cfg_.standardize_inputs && !in_mean_.empty();
+    const nn::SageTrunk trunk(
+        convs_, standardize ? std::span<const float>(in_mean_)
+                            : std::span<const float>(),
+        standardize ? std::span<const float>(in_std_)
+                    : std::span<const float>());
+    Matrix pooled(batch, trunk.out_dim());
+    trunk.run(x, csr, batch, scratch, pool, pooled);
+    return pooled;
+}
+
+Matrix BoolGebraModel::mlp_eval(nn::ConstMatrixView pooled) const {
+    Matrix y = linears_[0].forward_eval(pooled);
+    y = mlp_act0_.forward_eval(std::move(y));
+    y = bn0_.forward_eval(y);
+    y = linears_[1].forward_eval(y);
+    y = bn1_.forward_eval(y);
+    y = linears_[2].forward_eval(y);
+    return out_act_.forward_eval(std::move(y));
 }
 
 Matrix BoolGebraModel::forward_eval(nn::ConstMatrixView x,
@@ -129,31 +154,7 @@ Matrix BoolGebraModel::forward_eval(nn::ConstMatrixView x,
                                     bg::ThreadPool* pool) const {
     BG_EXPECTS(x.rows() == batch * csr.num_nodes(),
                "feature rows must equal batch * nodes");
-    nn::ConstMatrixView cur = x;
-    if (cfg_.standardize_inputs && !in_mean_.empty()) {
-        standardize_into(x, scratch.standardized);
-        cur = scratch.standardized;
-    }
-    if (scratch.sage_agg.size() < convs_.size()) {
-        scratch.sage_agg.resize(convs_.size());
-    }
-    // Dropout is the identity at eval time and is skipped outright.
-    Matrix h =
-        convs_[0].forward_eval(cur, csr, batch, scratch.sage_agg[0], pool);
-    h = conv_act_[0].forward_eval(std::move(h));
-    for (std::size_t i = 1; i < convs_.size(); ++i) {
-        h = convs_[i].forward_eval(h, csr, batch, scratch.sage_agg[i], pool);
-        h = conv_act_[i].forward_eval(std::move(h));
-    }
-    Matrix pooled;
-    nn::mean_pool(h, batch, pooled);
-    Matrix y = linears_[0].forward_eval(pooled, pool);
-    y = mlp_act0_.forward_eval(std::move(y));
-    y = bn0_.forward_eval(y);
-    y = linears_[1].forward_eval(y, pool);
-    y = bn1_.forward_eval(y);
-    y = linears_[2].forward_eval(y, pool);
-    return out_act_.forward_eval(std::move(y));
+    return mlp_eval(trunk_eval(x, csr, batch, scratch, pool));
 }
 
 void BoolGebraModel::backward(const Matrix& dpred) {
@@ -281,14 +282,14 @@ std::vector<double> BoolGebraModel::predict_batch_scored(
     const std::size_t total = stacked.rows() / num_nodes;
     std::vector<double> out;
     out.reserve(total);
-    nn::EvalScratch scratch;  // temporaries shared across the chunks
+    // The trunk runs every sample once; the MLP then sees the pooled rows
+    // in batch_size chunks, because BatchNorm normalizes with each chunk's
+    // own statistics.
+    nn::EvalScratch scratch;
+    const Matrix pooled = trunk_eval(stacked, csr, total, scratch, pool);
     for (std::size_t start = 0; start < total; start += batch_size) {
         const std::size_t b = std::min(batch_size, total - start);
-        // Zero-copy chunking: each forward sees a row-panel view of the
-        // stacked matrix.
-        const Matrix pred =
-            forward_eval(stacked.rows_view(start * num_nodes, b * num_nodes),
-                         csr, b, scratch, pool);
+        const Matrix pred = mlp_eval(pooled.rows_view(start, b));
         for (std::size_t s = 0; s < b; ++s) {
             out.push_back(score(pred, s));
         }

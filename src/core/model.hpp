@@ -30,6 +30,7 @@
 #include "nn/layers.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sage.hpp"
+#include "nn/sage_trunk.hpp"
 
 namespace bg::core {
 
@@ -96,18 +97,20 @@ public:
     /// Forward pass for a batch of samples over one graph.
     /// `x` is a (B * N, in_dim) row-major view (zero-copy panels of a
     /// larger stacked matrix work); returns (B, num_heads()) with one
-    /// column per configured head.  `pool` (optional) shards the GEMM row
-    /// panels without changing any output bit.
+    /// column per configured head.  This batched GEMM path serves
+    /// training and is the reference the eval path is pinned against.
     nn::Matrix forward(nn::ConstMatrixView x, const nn::Csr& csr,
-                       std::size_t batch, bool train,
-                       bg::ThreadPool* pool = nullptr);
+                       std::size_t batch, bool train);
 
     /// Genuinely const eval-mode forward: bit-identical to
     /// forward(x, ..., /*train=*/false) but never touches the layer
     /// backward caches, so one model instance serves concurrent inference
     /// (the FlowService shares shared_ptr<const BoolGebraModel> snapshots
-    /// across in-flight jobs).  `scratch` holds the per-thread temporaries
-    /// — reuse one instance per thread across calls, never share it.
+    /// across in-flight jobs).  The GraphSAGE trunk runs one sample at a
+    /// time through fused per-layer kernels (nn::SageTrunk); `pool`
+    /// (optional) shards the samples, never changing an output bit.
+    /// `scratch` holds the per-shard temporaries — reuse one instance per
+    /// thread across calls, never share it.
     nn::Matrix forward_eval(nn::ConstMatrixView x, const nn::Csr& csr,
                             std::size_t batch, nn::EvalScratch& scratch,
                             bg::ThreadPool* pool = nullptr) const;
@@ -145,10 +148,11 @@ public:
 
     /// Batched inference over a pre-stacked feature matrix: `stacked` is
     /// (B * num_nodes, in_dim) row-major with each sample's node block
-    /// contiguous.  Chunks of `batch_size` samples go through
-    /// forward_eval() as zero-copy row-panel views; results are identical
-    /// to per-sample inference.  Const and cache-free: safe to call
-    /// concurrently from many threads on one shared model.  Returns the
+    /// contiguous.  The trunk reads each sample's node block in place
+    /// (sharded over `pool`); the pooled rows then go through the MLP in
+    /// chunks of `batch_size` samples, each one BatchNorm batch — the same
+    /// bits as forward_eval() on each chunk.  Const and cache-free: safe to
+    /// call concurrently from many threads on one shared model.  Returns the
     /// first head's column (the size head on every canonical config) —
     /// exactly the single-head behavior.
     std::vector<double> predict_batch(const nn::Csr& csr,
@@ -186,6 +190,12 @@ public:
     void load(const std::filesystem::path& path);
 
 private:
+    /// Eval-mode trunk: the (batch, sage_dims.back()) mean-pooled rows.
+    nn::Matrix trunk_eval(nn::ConstMatrixView x, const nn::Csr& csr,
+                          std::size_t batch, nn::EvalScratch& scratch,
+                          bg::ThreadPool* pool) const;
+    /// Eval-mode MLP head over pooled rows (one BatchNorm batch).
+    nn::Matrix mlp_eval(nn::ConstMatrixView pooled) const;
     /// Shared predict_batch/_head/_blend driver: `score` maps one row of
     /// the (b, num_heads) forward output to the sample's scalar score.
     std::vector<double> predict_batch_scored(

@@ -17,15 +17,15 @@ Linear::Linear(std::size_t in, std::size_t out, bg::Rng& rng)
       gw_(in, out),
       gb_(out, 0.0F) {}
 
-Matrix Linear::forward(ConstMatrixView x, bool train, bg::ThreadPool* pool) {
+Matrix Linear::forward(ConstMatrixView x, bool train) {
     cache_x_ = train ? Matrix(x) : Matrix();
-    return forward_eval(x, pool);
+    return forward_eval(x);
 }
 
-Matrix Linear::forward_eval(ConstMatrixView x, bg::ThreadPool* pool) const {
+Matrix Linear::forward_eval(ConstMatrixView x) const {
     BG_EXPECTS(x.cols() == w_.rows(), "linear input width mismatch");
     Matrix y;
-    matmul(x, w_, y, pool);
+    matmul(x, w_, y);
     add_row_bias(y, b_);
     return y;
 }

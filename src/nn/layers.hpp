@@ -8,15 +8,15 @@
 /// the inference hot path allocation-light.  Inputs are taken as
 /// ConstMatrixView so batched callers can pass zero-copy row panels.  The
 /// training loop is single-threaded by design (one model instance per
-/// thread if parallelism is wanted); the optional `pool` shards the GEMM
-/// row panels without changing a single output bit.
+/// thread if parallelism is wanted).
 ///
-/// Every layer also exposes a `forward_eval()` that is genuinely `const`:
-/// it computes the same bits as `forward(x, /*train=*/false)` but never
-/// touches the backward caches, so one model instance can serve
+/// The MLP layers also expose a `forward_eval()` that is genuinely
+/// `const`: it computes the same bits as `forward(x, /*train=*/false)`
+/// but never touches the backward caches, so one model instance can serve
 /// concurrent inference (the FlowService shares a
-/// `shared_ptr<const BoolGebraModel>` across jobs).  Per-thread
-/// temporaries live in an EvalScratch the caller threads through.
+/// `shared_ptr<const BoolGebraModel>` across jobs).  Inference parallelism
+/// lives in the fused GraphSAGE trunk (sage_trunk.hpp), which shards
+/// samples, not these layers.
 
 #include "nn/matrix.hpp"
 #include "util/rng.hpp"
@@ -30,28 +30,15 @@ struct ParamRef {
     std::size_t size = 0;
 };
 
-/// Reusable temporaries for the const eval-mode forward path.  Buffers are
-/// sized on first use and reused across forward_eval() calls, so a long
-/// inference stream allocates once.  One scratch per thread: instances
-/// must never be shared between concurrent forwards.
-struct EvalScratch {
-    Matrix standardized;  ///< model input standardization buffer
-    /// SageConv neighbor-aggregation buffers, one per conv layer (layer
-    /// widths differ, so sharing one buffer would reallocate every call).
-    std::vector<Matrix> sage_agg;
-};
-
 class Linear {
 public:
     Linear(std::size_t in, std::size_t out, bg::Rng& rng);
 
     /// `train` = false skips the input cache (backward then requires a new
     /// train-mode forward first).
-    Matrix forward(ConstMatrixView x, bool train = true,
-                   bg::ThreadPool* pool = nullptr);
+    Matrix forward(ConstMatrixView x, bool train = true);
     /// Same bits as forward(x, false) without touching any member.
-    Matrix forward_eval(ConstMatrixView x,
-                        bg::ThreadPool* pool = nullptr) const;
+    Matrix forward_eval(ConstMatrixView x) const;
     /// Accumulates parameter gradients, returns dL/dx.
     Matrix backward(const Matrix& dy);
 

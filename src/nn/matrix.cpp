@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/contracts.hpp"
-#include "util/parallel.hpp"
 
 namespace bg::nn {
 
@@ -21,15 +20,15 @@ Matrix Matrix::xavier(std::size_t fan_in, std::size_t fan_out, bg::Rng& rng) {
 // ---------------------------------------------------------------------------
 // Blocked GEMM
 //
-// C += A * B as  (row panels) x (k blocks) x (register tiles).  Each output
-// element accumulates its k contributions strictly in ascending p order —
-// the same order as the naive ikj loop — so blocking, tiling, the tile
-// size a given ISA picks, and row-panel sharding never change a single bit
-// of the result.  The micro kernel keeps an Mr x Nr tile of C in registers
-// across a whole k block; its loops have compile-time trip counts so the
-// compiler fully unrolls and vectorizes them.
+// C += A * B as  (k blocks) x (register tiles).  Each output element
+// accumulates its k contributions strictly in ascending p order — the
+// same order as the naive ikj loop — so blocking, tiling and the tile
+// size a given ISA picks never change a single bit of the result.  The
+// micro kernel keeps an Mr x Nr tile of C in registers across a whole k
+// block; its loops have compile-time trip counts so the compiler fully
+// unrolls and vectorizes them.
 //
-// The row-panel driver is compiled once per ISA (SSE baseline, AVX2,
+// The blocked loop nest is compiled once per ISA (SSE baseline, AVX2,
 // AVX-512) and the variant is picked once at runtime — the rest of the
 // build keeps its portable flags.  matrix.cpp is compiled with
 // -ffp-contract=off (see CMakeLists) so no variant fuses mul+add into FMA;
@@ -44,11 +43,9 @@ namespace {
 #define BG_ALWAYS_INLINE inline
 #endif
 
-/// k-block depth: a kKc-deep panel of B stays cache-resident while a whole
-/// row panel of A streams past it.
+/// k-block depth: a kKc-deep panel of B stays cache-resident while the
+/// rows of A stream past it.
 constexpr std::size_t kKc = 256;
-/// Rows of C per parallel work item (multiple of every Mr below).
-constexpr std::size_t kRowPanel = 64;
 
 /// Full Mr x Nr tile: compile-time bounds, accumulators live in registers
 /// for the whole k block.  always_inline so the body is compiled with the
@@ -110,20 +107,20 @@ BG_ALWAYS_INLINE void micro_tile_edge(const float* a, std::size_t lda,
     }
 }
 
-/// C[r0..r1) += A[r0..r1) * B over the full k and m extents.  Raw pointers
+/// C += A * B over n rows and the full k and m extents.  Raw pointers
 /// and strides only: routing them through the view structs here defeats
 /// the vectorizer (measured 6x slower).
 template <std::size_t Mr, std::size_t Nr>
 BG_ALWAYS_INLINE void gemm_rows_impl(const float* A, std::size_t lda,
                                      const float* B, std::size_t ldb,
                                      float* C, std::size_t ldc,
-                                     std::size_t r0, std::size_t r1,
-                                     std::size_t k, std::size_t m) {
+                                     std::size_t n, std::size_t k,
+                                     std::size_t m) {
     for (std::size_t pp = 0; pp < k; pp += kKc) {
         const std::size_t kc = std::min(kKc, k - pp);
         const float* bpp = B + pp * ldb;
-        for (std::size_t i = r0; i < r1; i += Mr) {
-            const std::size_t mr = std::min(Mr, r1 - i);
+        for (std::size_t i = 0; i < n; i += Mr) {
+            const std::size_t mr = std::min(Mr, n - i);
             const float* ai = A + i * lda + pp;
             float* ci = C + i * ldc;
             std::size_t j = 0;
@@ -143,13 +140,12 @@ BG_ALWAYS_INLINE void gemm_rows_impl(const float* A, std::size_t lda,
 
 using RowsFn = void (*)(const float*, std::size_t, const float*, std::size_t,
                         float*, std::size_t, std::size_t, std::size_t,
-                        std::size_t, std::size_t);
+                        std::size_t);
 
 void gemm_rows_portable(const float* A, std::size_t lda, const float* B,
                         std::size_t ldb, float* C, std::size_t ldc,
-                        std::size_t r0, std::size_t r1, std::size_t k,
-                        std::size_t m) {
-    gemm_rows_impl<4, 8>(A, lda, B, ldb, C, ldc, r0, r1, k, m);
+                        std::size_t n, std::size_t k, std::size_t m) {
+    gemm_rows_impl<4, 8>(A, lda, B, ldb, C, ldc, n, k, m);
 }
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -158,15 +154,13 @@ void gemm_rows_portable(const float* A, std::size_t lda, const float* B,
 // (AVX2: 4x32 floats = 16 ymm; AVX-512: 8x32 = 16 zmm of 32).
 __attribute__((target("avx2"))) void gemm_rows_avx2(
     const float* A, std::size_t lda, const float* B, std::size_t ldb,
-    float* C, std::size_t ldc, std::size_t r0, std::size_t r1, std::size_t k,
-    std::size_t m) {
-    gemm_rows_impl<4, 32>(A, lda, B, ldb, C, ldc, r0, r1, k, m);
+    float* C, std::size_t ldc, std::size_t n, std::size_t k, std::size_t m) {
+    gemm_rows_impl<4, 32>(A, lda, B, ldb, C, ldc, n, k, m);
 }
 __attribute__((target("avx512f"))) void gemm_rows_avx512(
     const float* A, std::size_t lda, const float* B, std::size_t ldb,
-    float* C, std::size_t ldc, std::size_t r0, std::size_t r1, std::size_t k,
-    std::size_t m) {
-    gemm_rows_impl<8, 32>(A, lda, B, ldb, C, ldc, r0, r1, k, m);
+    float* C, std::size_t ldc, std::size_t n, std::size_t k, std::size_t m) {
+    gemm_rows_impl<8, 32>(A, lda, B, ldb, C, ldc, n, k, m);
 }
 #endif
 
@@ -186,12 +180,6 @@ RowsFn pick_rows_fn() {
 RowsFn rows_fn() {
     static const RowsFn fn = pick_rows_fn();
     return fn;
-}
-
-void gemm_rows(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-               std::size_t r0, std::size_t r1) {
-    rows_fn()(a.row(0), a.stride(), b.row(0), b.stride(), c.row(0),
-              c.stride(), r0, r1, a.cols(), b.cols());
 }
 
 /// Cache-blocked transpose pack (the `_tn`/`_nt` operands become plain
@@ -216,49 +204,35 @@ Matrix transposed(ConstMatrixView a) {
 
 }  // namespace
 
-void gemm_accumulate(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                     bg::ThreadPool* pool) {
+void gemm_accumulate(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
     BG_EXPECTS(a.cols() == b.rows() && c.rows() == a.rows() &&
                    c.cols() == b.cols(),
                "gemm shape mismatch");
-    const std::size_t n = a.rows();
-    if (n == 0 || b.cols() == 0 || a.cols() == 0) {
+    if (a.rows() == 0 || b.cols() == 0 || a.cols() == 0) {
         return;
     }
-    const std::size_t panels = (n + kRowPanel - 1) / kRowPanel;
-    if (pool == nullptr || panels <= 1 || pool->size() == 0) {
-        gemm_rows(a, b, c, 0, n);
-        return;
-    }
-    // Disjoint row panels: each output element is produced by exactly one
-    // worker with the sequential kernel, so the result is schedule-free.
-    pool->for_each(panels, [&](std::size_t pi) {
-        const std::size_t lo = pi * kRowPanel;
-        gemm_rows(a, b, c, lo, std::min(n, lo + kRowPanel));
-    });
+    rows_fn()(a.row(0), a.stride(), b.row(0), b.stride(), c.row(0),
+              c.stride(), a.rows(), a.cols(), b.cols());
 }
 
-void matmul(ConstMatrixView a, ConstMatrixView b, Matrix& c,
-            bg::ThreadPool* pool) {
+void matmul(ConstMatrixView a, ConstMatrixView b, Matrix& c) {
     BG_EXPECTS(a.cols() == b.rows(), "matmul shape mismatch");
     c = Matrix(a.rows(), b.cols());
-    gemm_accumulate(a, b, c.view(), pool);
+    gemm_accumulate(a, b, c.view());
 }
 
-void matmul_tn(ConstMatrixView a, ConstMatrixView b, Matrix& c,
-               bg::ThreadPool* pool) {
+void matmul_tn(ConstMatrixView a, ConstMatrixView b, Matrix& c) {
     BG_EXPECTS(a.rows() == b.rows(), "matmul_tn shape mismatch");
     const Matrix at = transposed(a);
     c = Matrix(a.cols(), b.cols());
-    gemm_accumulate(at, b, c.view(), pool);
+    gemm_accumulate(at, b, c.view());
 }
 
-void matmul_nt(ConstMatrixView a, ConstMatrixView b, Matrix& c,
-               bg::ThreadPool* pool) {
+void matmul_nt(ConstMatrixView a, ConstMatrixView b, Matrix& c) {
     BG_EXPECTS(a.cols() == b.cols(), "matmul_nt shape mismatch");
     const Matrix bt = transposed(b);
     c = Matrix(a.rows(), b.rows());
-    gemm_accumulate(a, bt, c.view(), pool);
+    gemm_accumulate(a, bt, c.view());
 }
 
 // ---------------------------------------------------------------------------

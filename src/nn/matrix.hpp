@@ -7,20 +7,16 @@
 ///
 /// The GEMM kernels are cache-blocked and register-tiled but *bit-stable*:
 /// every output element accumulates its k contributions strictly in
-/// p = 0..k-1 order, independent of blocking, tiling, view strides and of
-/// whether row panels are sharded across a ThreadPool.  Results are
-/// therefore identical across worker counts, which the FlowEngine relies
-/// on.  No BLAS dependency.
+/// p = 0..k-1 order, independent of blocking, tiling, ISA variant and
+/// view strides.  The fused GraphSAGE eval kernel (sage_trunk.cpp) follows
+/// the same order, so inference matches this path bit for bit.  No BLAS
+/// dependency.
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
 #include "util/rng.hpp"
-
-namespace bg {
-class ThreadPool;  // util/parallel.hpp
-}
 
 namespace bg::nn {
 
@@ -162,21 +158,16 @@ private:
     std::vector<float> data_;
 };
 
-/// C = A * B.  Blocked/tiled kernel; `pool` (optional) shards disjoint row
-/// panels of C, leaving results bit-identical to the sequential run.  `c`
-/// is reallocated, so it must not alias the storage behind `a` or `b`.
-void matmul(ConstMatrixView a, ConstMatrixView b, Matrix& c,
-            bg::ThreadPool* pool = nullptr);
+/// C = A * B.  Blocked/tiled kernel.  `c` is reallocated, so it must not
+/// alias the storage behind `a` or `b`.
+void matmul(ConstMatrixView a, ConstMatrixView b, Matrix& c);
 /// C = A^T * B (gradients w.r.t. weights); transpose-packs A.
-void matmul_tn(ConstMatrixView a, ConstMatrixView b, Matrix& c,
-               bg::ThreadPool* pool = nullptr);
+void matmul_tn(ConstMatrixView a, ConstMatrixView b, Matrix& c);
 /// C = A * B^T (gradients w.r.t. inputs); transpose-packs B.
-void matmul_nt(ConstMatrixView a, ConstMatrixView b, Matrix& c,
-               bg::ThreadPool* pool = nullptr);
+void matmul_nt(ConstMatrixView a, ConstMatrixView b, Matrix& c);
 
 /// C += A * B into an existing correctly-shaped destination view.
-void gemm_accumulate(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                     bg::ThreadPool* pool = nullptr);
+void gemm_accumulate(ConstMatrixView a, ConstMatrixView b, MatrixView c);
 
 /// The seed's triple-loop kernels, kept as the parity and benchmark
 /// baseline (tests assert the blocked kernels match them bit-for-bit).

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/contracts.hpp"
-#include "util/parallel.hpp"
 
 namespace bg::nn {
 
@@ -21,7 +20,7 @@ void Csr::build_inv_deg() {
 }
 
 void mean_aggregate(ConstMatrixView x, const Csr& csr, std::size_t batch,
-                    Matrix& h, bg::ThreadPool* pool) {
+                    Matrix& h) {
     const std::size_t n = csr.num_nodes();
     BG_EXPECTS(x.rows() == batch * n, "feature rows must be batch * nodes");
     const std::size_t f = x.cols();
@@ -35,79 +34,32 @@ void mean_aggregate(ConstMatrixView x, const Csr& csr, std::size_t batch,
     const std::int32_t* neighbors = csr.neighbors.data();
     const float* inv_deg =
         csr.inv_deg.size() == n ? csr.inv_deg.data() : nullptr;
-    // Rows are independent and each is accumulated wholly by one thread in
-    // edge order, so any partition of the row range gives the same bits as
-    // the serial loop.
-    const auto row_range = [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            const std::size_t b = r / n;
-            const std::size_t i = r - b * n;
-            const std::size_t base = b * n;
-            float* hi = h.row(r);
-            std::fill(hi, hi + f, 0.0F);
-            const auto beg = offsets[i];
-            const auto end = offsets[i + 1];
-            if (beg == end) {
-                continue;
-            }
-            for (auto e = beg; e < end; ++e) {
-                const float* xj =
-                    x.row(base + static_cast<std::size_t>(
-                                     neighbors[static_cast<std::size_t>(e)]));
-                for (std::size_t c = 0; c < f; ++c) {
-                    hi[c] += xj[c];
-                }
-            }
-            const float inv = inv_deg != nullptr
-                                  ? inv_deg[i]
-                                  : 1.0F / static_cast<float>(end - beg);
-            for (std::size_t c = 0; c < f; ++c) {
-                hi[c] *= inv;
-            }
-        }
-    };
-
-    const std::size_t rows = batch * n;
-    const std::size_t edges = csr.neighbors.size();
-    // Per-row cost ~ degree + 1; below this much total work the fork-join
-    // overhead outweighs the sharding.
-    constexpr std::size_t k_min_shard_work = std::size_t{1} << 15;
-    if (pool == nullptr || pool->size() < 2 ||
-        batch * (edges + n) < k_min_shard_work) {
-        row_range(0, rows);
-        return;
-    }
-
-    // Edge-balanced shard boundaries: the cumulative cost of rows before
-    // global row r = (b, i) is b*(edges+n) + offsets[i] + i, monotone in
-    // r, so each boundary is a binary search — heavy hubs split across
-    // boundaries land wholly in one shard, light tails pack together.
-    const std::size_t num_shards = std::min(rows, pool->size() * 4);
-    const std::size_t total = batch * (edges + n);
-    const auto cum = [&](std::size_t r) {
+    for (std::size_t r = 0; r < batch * n; ++r) {
         const std::size_t b = r / n;
         const std::size_t i = r - b * n;
-        return b * (edges + n) + static_cast<std::size_t>(offsets[i]) + i;
-    };
-    std::vector<std::size_t> bounds(num_shards + 1, 0);
-    bounds[num_shards] = rows;
-    for (std::size_t s = 1; s < num_shards; ++s) {
-        const std::size_t target = total / num_shards * s;
-        std::size_t lo = bounds[s - 1];
-        std::size_t hi = rows;
-        while (lo < hi) {
-            const std::size_t mid = lo + (hi - lo) / 2;
-            if (cum(mid) < target) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+        const std::size_t base = b * n;
+        float* hi = h.row(r);
+        std::fill(hi, hi + f, 0.0F);
+        const auto beg = offsets[i];
+        const auto end = offsets[i + 1];
+        if (beg == end) {
+            continue;
+        }
+        for (auto e = beg; e < end; ++e) {
+            const float* xj =
+                x.row(base + static_cast<std::size_t>(
+                                 neighbors[static_cast<std::size_t>(e)]));
+            for (std::size_t c = 0; c < f; ++c) {
+                hi[c] += xj[c];
             }
         }
-        bounds[s] = lo;
+        const float inv = inv_deg != nullptr
+                              ? inv_deg[i]
+                              : 1.0F / static_cast<float>(end - beg);
+        for (std::size_t c = 0; c < f; ++c) {
+            hi[c] *= inv;
+        }
     }
-    pool->for_each(num_shards, [&](std::size_t s) {
-        row_range(bounds[s], bounds[s + 1]);
-    });
 }
 
 void mean_aggregate_transpose(ConstMatrixView dh, const Csr& csr,
@@ -184,10 +136,18 @@ SageConv::SageConv(std::size_t in, std::size_t out, bg::Rng& rng)
       gb_(out, 0.0F) {}
 
 Matrix SageConv::forward(ConstMatrixView x, const Csr& csr,
-                         std::size_t batch, bool train,
-                         bg::ThreadPool* pool) {
+                         std::size_t batch, bool train) {
+    BG_EXPECTS(x.cols() == w_self_.rows(), "sage input width mismatch");
     Matrix agg;  // aggregated neighbors
-    Matrix y = forward_eval(x, csr, batch, agg, pool);
+    mean_aggregate(x, csr, batch, agg);
+    Matrix y;
+    matmul(x, w_self_, y);
+    Matrix yn;
+    matmul(agg, w_neigh_, yn);
+    for (std::size_t i = 0; i < y.size(); ++i) {
+        y.data()[i] += yn.data()[i];
+    }
+    add_row_bias(y, b_);
     if (train) {
         cache_x_ = Matrix(x);
         cache_h_ = std::move(agg);
@@ -199,22 +159,6 @@ Matrix SageConv::forward(ConstMatrixView x, const Csr& csr,
         csr_ = nullptr;
         batch_ = 0;
     }
-    return y;
-}
-
-Matrix SageConv::forward_eval(ConstMatrixView x, const Csr& csr,
-                              std::size_t batch, Matrix& agg,
-                              bg::ThreadPool* pool) const {
-    BG_EXPECTS(x.cols() == w_self_.rows(), "sage input width mismatch");
-    mean_aggregate(x, csr, batch, agg, pool);
-    Matrix y;
-    matmul(x, w_self_, y, pool);
-    Matrix yn;
-    matmul(agg, w_neigh_, yn, pool);
-    for (std::size_t i = 0; i < y.size(); ++i) {
-        y.data()[i] += yn.data()[i];
-    }
-    add_row_bias(y, b_);
     return y;
 }
 

@@ -7,6 +7,7 @@
 /// features as B consecutive blocks of N rows.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/layers.hpp"
@@ -38,16 +39,11 @@ public:
     SageConv(std::size_t in, std::size_t out, bg::Rng& rng);
 
     /// `x` is (B*N, in); the same CSR applies to each of the B blocks.
-    /// `train` = false skips the backward caches; `pool` shards the GEMM
-    /// row panels bit-stably.
+    /// `train` = false skips the backward caches.  This batched path is
+    /// the training forward and the reference the fused eval trunk
+    /// (sage_trunk.hpp) is pinned against.
     Matrix forward(ConstMatrixView x, const Csr& csr, std::size_t batch,
-                   bool train = true, bg::ThreadPool* pool = nullptr);
-    /// Same bits as forward(x, ..., false) without touching any member;
-    /// the neighbor aggregation reuses `agg` (one scratch buffer per
-    /// layer per thread, see EvalScratch).
-    Matrix forward_eval(ConstMatrixView x, const Csr& csr,
-                        std::size_t batch, Matrix& agg,
-                        bg::ThreadPool* pool = nullptr) const;
+                   bool train = true);
     Matrix backward(const Matrix& dy);
 
     void zero_grad();
@@ -55,6 +51,9 @@ public:
 
     std::size_t in_dim() const { return w_self_.rows(); }
     std::size_t out_dim() const { return w_self_.cols(); }
+    const Matrix& w_self() const { return w_self_; }
+    const Matrix& w_neigh() const { return w_neigh_; }
+    std::span<const float> bias() const { return b_; }
 
 private:
     Matrix w_self_;
@@ -71,13 +70,9 @@ private:
 };
 
 /// H[i] = mean of X over i's neighbors, per batch block.  `h` is reused
-/// without reallocation when it already has the right shape.  `pool`
-/// shards the row range edge-balanced (boundaries from a binary search on
-/// the CSR offsets, so heavy hubs don't serialize a shard); every row is
-/// accumulated wholly inside one shard in the same order as the serial
-/// loop, so the result is bit-identical at any worker count.
+/// without reallocation when it already has the right shape.
 void mean_aggregate(ConstMatrixView x, const Csr& csr, std::size_t batch,
-                    Matrix& h, bg::ThreadPool* pool = nullptr);
+                    Matrix& h);
 /// Transposed aggregation: DX[j] += DH[i]/deg(i) for each edge (i, j).
 void mean_aggregate_transpose(ConstMatrixView dh, const Csr& csr,
                               std::size_t batch, Matrix& dx);

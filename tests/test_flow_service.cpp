@@ -189,7 +189,11 @@ std::shared_ptr<bg::CancelToken> submit_blocker(
     SubmitOptions opts;
     opts.cancel = std::make_shared<bg::CancelToken>();
     FlowConfig heavy = tiny_flow();
-    heavy.num_samples = 5000;  // long enough to outlive the submits below
+    // Long enough to outlive the submits below: exact evaluation of a
+    // thousand candidates takes about a second; scoring 5000 samples
+    // alone takes tens of milliseconds.
+    heavy.num_samples = 5000;
+    heavy.top_k = 1000;
     opts.flow = heavy;
     fut = service.submit(
         {"blocker", bg::circuits::make_benchmark_scaled("b10", 0.5)}, opts);
@@ -310,8 +314,16 @@ TEST(FlowService, QueuedJobTimesOutWithTypedReason) {
 
     SubmitOptions opts;
     opts.timeout_seconds = 0.02;
-    auto doomed = service.submit(
-        {"late", bg::circuits::make_benchmark_scaled("b07", 0.3)}, opts);
+    // A shared_future keeps the job's shared state, and with it the stored
+    // exception, alive on this thread while reason() is read.  With a
+    // plain future, get() drops the state, and the worker may then free
+    // the exception through the (uninstrumented) exception_ptr refcount
+    // while this thread still reads it, which TSan reports as a race.
+    const auto doomed =
+        service
+            .submit({"late", bg::circuits::make_benchmark_scaled("b07", 0.3)},
+                    opts)
+            .share();
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     release->request_cancel();
     EXPECT_THROW((void)blocker.get(), bg::CancelledError);

@@ -11,6 +11,22 @@
 
 namespace bg::test {
 
+/// Wall-clock deadlines in tests are scaled by this factor under a
+/// sanitizer, whose instrumentation slows the code under test (TSan by
+/// up to ~10x, more when several instrumented processes share the cores).
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#define BG_TEST_UNDER_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define BG_TEST_UNDER_SANITIZER 1
+#endif
+#endif
+#if defined(BG_TEST_UNDER_SANITIZER)
+inline constexpr double kSanitizerSlowdown = 4.0;
+#else
+inline constexpr double kSanitizerSlowdown = 1.0;
+#endif
+
 using aig::Aig;
 using aig::Lit;
 using aig::lit_not;

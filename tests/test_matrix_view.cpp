@@ -1,13 +1,12 @@
 /// \file test_matrix_view.cpp
 /// MatrixView/ConstMatrixView semantics (strides, aliasing, view-of-view,
 /// degenerate panels) and blocked-GEMM parity against the naive reference
-/// kernels across odd shapes — bit-for-bit, including under ThreadPool
-/// row-panel sharding and for non-contiguous view operands.
+/// kernels across odd shapes — bit-for-bit, including for non-contiguous
+/// view operands.
 
 #include <gtest/gtest.h>
 
 #include "nn/matrix.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -238,39 +237,6 @@ TEST(BlockedGemm, AccumulateIntoStridedDestination) {
             EXPECT_EQ(target.at(i, j),
                       inside ? dense.at(i - 3, j - 2) : 0.0F);
         }
-    }
-}
-
-TEST(BlockedGemm, ThreadPoolShardingIsBitStable) {
-    bg::Rng rng(13);
-    const Matrix a = random_matrix(257, 65, rng);
-    const Matrix b = random_matrix(65, 43, rng);
-    Matrix seq;
-    bg::nn::matmul(a, b, seq);
-    for (const std::size_t workers : {1U, 2U, 8U}) {
-        bg::ThreadPool pool(workers);
-        Matrix par;
-        bg::nn::matmul(a, b, par, &pool);
-        expect_bit_equal(seq, par);
-        Matrix par_tn;
-        bg::nn::matmul_tn(Matrix(b), Matrix(b), par_tn, &pool);
-        Matrix seq_tn;
-        bg::nn::matmul_tn(Matrix(b), Matrix(b), seq_tn);
-        expect_bit_equal(seq_tn, par_tn);
-    }
-}
-
-TEST(BlockedGemm, PoolRepeatedCallsAreDeterministic) {
-    bg::Rng rng(14);
-    const Matrix a = random_matrix(130, 70, rng);
-    const Matrix b = random_matrix(70, 66, rng);
-    bg::ThreadPool pool(4);
-    Matrix first;
-    bg::nn::matmul(a, b, first, &pool);
-    for (int round = 0; round < 5; ++round) {
-        Matrix again;
-        bg::nn::matmul(a, b, again, &pool);
-        expect_bit_equal(first, again);
     }
 }
 

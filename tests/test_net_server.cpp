@@ -26,6 +26,7 @@
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -75,13 +76,16 @@ SubmitJobMsg blob_job(const std::string& name, const std::string& blob) {
     return msg;
 }
 
-/// A job heavy enough (thousands of scored samples) that disconnect /
-/// cancel / stop always lands while it is queued or running; the flow
-/// polls its CancelToken inside the sample loops, so cancellation is
+/// A job heavy enough that disconnect / cancel / stop always lands while
+/// it is queued or running: thousands of scored samples, a thousand of
+/// them evaluated exactly (about a second on one core; scoring alone
+/// takes tens of milliseconds).  The flow polls its CancelToken inside
+/// the sample loops and every orchestrate pass, so cancellation is
 /// observed promptly regardless.
 SubmitJobMsg heavy_job(const std::string& name, const std::string& blob) {
     SubmitJobMsg msg = blob_job(name, blob);
     msg.num_samples = 5000;
+    msg.top_k = 1000;
     return msg;
 }
 
@@ -89,7 +93,8 @@ bool eventually(const std::function<bool()>& pred, double seconds = 20.0) {
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(seconds));
+            std::chrono::duration<double>(seconds *
+                                          bg::test::kSanitizerSlowdown));
     while (std::chrono::steady_clock::now() < deadline) {
         if (pred()) {
             return true;

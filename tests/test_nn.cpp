@@ -8,7 +8,6 @@
 #include "nn/matrix.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sage.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -305,66 +304,6 @@ TEST(Sage, MeanAggregateCachedInvDegBitIdenticalToFallback) {
             for (std::size_t i = 0; i < h_plain.size(); ++i) {
                 ASSERT_EQ(h_plain.data()[i], h_cached.data()[i])
                     << "n=" << n << " batch=" << batch << " elt " << i;
-            }
-        }
-    }
-}
-
-/// Random graph with a heavy hub (node 0 adjacent to everything): the
-/// worst case for edge-balanced sharding — one row carries a large share
-/// of the edges and must still land wholly inside one shard.
-Csr hub_graph(std::size_t n, bg::Rng& rng) {
-    std::vector<std::vector<std::int32_t>> adj(n);
-    for (std::size_t i = 1; i < n; ++i) {
-        adj[0].push_back(static_cast<std::int32_t>(i));
-        adj[i].push_back(0);
-    }
-    for (std::size_t e = 0; e < 2 * n; ++e) {
-        const auto u = rng.next_below(n);
-        const auto v = rng.next_below(n);
-        adj[u].push_back(static_cast<std::int32_t>(v));
-    }
-    Csr csr;
-    csr.offsets.assign(n + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        csr.offsets[i + 1] =
-            csr.offsets[i] + static_cast<std::int32_t>(adj[i].size());
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        csr.neighbors.insert(csr.neighbors.end(), adj[i].begin(),
-                             adj[i].end());
-    }
-    csr.build_inv_deg();
-    return csr;
-}
-
-TEST(Sage, MeanAggregatePooledBitIdenticalToSerial) {
-    // The edge-parallel sharding is a pure scheduling change: every row is
-    // accumulated wholly by one thread in serial edge order, so the pooled
-    // result must equal the serial one bit for bit at any worker count —
-    // on hub-skewed graphs (shard boundaries cut next to heavy rows) and
-    // above/below the minimum-work threshold alike.
-    bg::Rng rng(77);
-    for (const std::size_t n : {64UL, 1500UL}) {
-        const Csr csr = hub_graph(n, rng);
-        for (const std::size_t batch : {1UL, 4UL}) {
-            Matrix x(batch * n, 9);
-            for (auto& v : x.data()) {
-                v = rng.next_float() * 2.0F - 1.0F;
-            }
-            Matrix h_serial;
-            mean_aggregate(x, csr, batch, h_serial, nullptr);
-            for (const std::size_t workers : {1UL, 2UL, 3UL, 8UL}) {
-                bg::ThreadPool pool(workers);
-                Matrix h_pooled(batch * n, 9);
-                h_pooled.fill(42.0F);  // stale storage must be overwritten
-                mean_aggregate(x, csr, batch, h_pooled, &pool);
-                ASSERT_EQ(h_pooled.rows(), h_serial.rows());
-                for (std::size_t i = 0; i < h_serial.size(); ++i) {
-                    ASSERT_EQ(h_serial.data()[i], h_pooled.data()[i])
-                        << "n=" << n << " batch=" << batch
-                        << " workers=" << workers << " elt " << i;
-                }
             }
         }
     }
