@@ -1,20 +1,19 @@
 /// \file bench_cec.cpp
-/// CEC engine shoot-out: per-engine latency (random simulation, BDD,
-/// incremental SAT) versus the portfolio race on every registry design,
-/// for both an equivalent pair (design vs its rewritten twin) and a
-/// refuted pair (design vs a single flipped output).  Shows where each
-/// engine wins and what the race costs over the best single engine.
+/// CEC engine comparison: per-engine latency (random or exhaustive
+/// simulation, swept incremental SAT) versus the portfolio pipeline on
+/// every registry design, for both an equivalent pair (design vs its
+/// rewritten twin) and a refuted pair (design vs a single flipped output).
+/// Self-checking: SAT and the pipeline must prove every equivalent pair
+/// and refute every flipped one (exit 1 otherwise).
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "aig/cec.hpp"
-#include "bdd/cec_bdd.hpp"
 #include "bench_common.hpp"
 #include "opt/standalone.hpp"
 #include "sat/cec_sat.hpp"
-#include "util/parallel.hpp"
 #include "verify/portfolio.hpp"
 
 namespace {
@@ -54,14 +53,14 @@ Aig flip_first_po(const Aig& source) {
 
 struct Row {
     double sim_ms = 0.0;
-    double bdd_ms = 0.0;
     double sat_ms = 0.0;
-    double race_ms = 0.0;
+    double pipeline_ms = 0.0;
+    CecVerdict sat = CecVerdict::ProbablyEquivalent;
     CecVerdict verdict = CecVerdict::ProbablyEquivalent;
-    bg::verify::Engine winner = bg::verify::Engine::None;
+    bg::verify::Engine engine = bg::verify::Engine::None;
 };
 
-Row measure(const Aig& a, const Aig& b, bg::ThreadPool& pool) {
+Row measure(const Aig& a, const Aig& b) {
     Row row;
     {
         const bg::Stopwatch t;
@@ -70,51 +69,57 @@ Row measure(const Aig& a, const Aig& b, bg::ThreadPool& pool) {
     }
     {
         const bg::Stopwatch t;
-        (void)bg::bdd::check_equivalence_bdd(a, b);
-        row.bdd_ms = t.seconds() * 1e3;
-    }
-    {
-        const bg::Stopwatch t;
-        (void)bg::sat::check_equivalence_sat(a, b);
+        row.sat = bg::sat::check_equivalence_sat(a, b);
         row.sat_ms = t.seconds() * 1e3;
     }
     {
-        bg::verify::PortfolioCec prover({}, &pool);
+        bg::verify::PortfolioCec prover;
         const bg::Stopwatch t;
         const auto report = prover.check(a, b);
-        row.race_ms = t.seconds() * 1e3;
+        row.pipeline_ms = t.seconds() * 1e3;
         row.verdict = report.verdict;
-        row.winner = report.engine;
+        row.engine = report.engine;
     }
     return row;
 }
 
-void print_row(const std::string& label, const Row& r) {
-    std::printf("%-16s %9.2f %9.2f %9.2f %9.2f   %-20s %s\n", label.c_str(),
-                r.sim_ms, r.bdd_ms, r.sat_ms, r.race_ms,
+/// Prints the row; returns false when SAT or the pipeline missed the
+/// expected verdict.
+bool print_row(const std::string& label, const Row& r, CecVerdict expect) {
+    const bool ok = r.sat == expect && r.verdict == expect;
+    const std::string note = ok ? "" : "<-- expected " + to_string(expect);
+    std::printf("%-16s %9.2f %9.2f %11.2f   %-20s %-6s %s\n", label.c_str(),
+                r.sim_ms, r.sat_ms, r.pipeline_ms,
                 to_string(r.verdict).c_str(),
-                bg::verify::to_string(r.winner).c_str());
+                bg::verify::to_string(r.engine).c_str(), note.c_str());
+    return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
     const auto scale = bgbench::Scale::from_args(argc, argv);
-    scale.banner("CEC engines: sim vs BDD vs SAT vs portfolio race");
+    scale.banner("CEC engines: sim vs SAT vs portfolio pipeline");
 
     const std::vector<std::string> names = {"b07", "b08", "b09", "b10",
                                             "b11", "b12", "c2670", "c5315"};
-    bg::ThreadPool pool(3);
 
-    std::printf("%-16s %9s %9s %9s %9s   %-20s %s\n", "design", "sim ms",
-                "bdd ms", "sat ms", "race ms", "verdict", "winner");
+    std::printf("%-16s %9s %9s %11s   %-20s %s\n", "design", "sim ms",
+                "sat ms", "pipeline ms", "verdict", "engine");
+    bool ok = true;
     for (const auto& name : names) {
         const Aig original = scale.design(name);
         Aig rewritten = original;
         (void)bg::opt::standalone_pass(rewritten, bg::opt::OpKind::Rewrite);
-        print_row(name, measure(original, rewritten, pool));
-        print_row(name + " (flip)", measure(original, flip_first_po(original),
-                                            pool));
+        ok &= print_row(name, measure(original, rewritten),
+                        CecVerdict::Equivalent);
+        ok &= print_row(name + " (flip)",
+                        measure(original, flip_first_po(original)),
+                        CecVerdict::NotEquivalent);
+    }
+    if (!ok) {
+        std::puts("FAIL: a verdict differs from the expected one");
+        return 1;
     }
     return 0;
 }

@@ -9,10 +9,9 @@
 /// construction (window-local truth-table equality), so the random mode is
 /// a safety net, not the primary argument.
 ///
-/// This engine is one of three interchangeable CEC back ends (simulation
-/// here, BDD in bdd/cec_bdd.hpp, SAT in sat/cec_sat.hpp) raced by
-/// bg::verify::PortfolioCec; the `cancel`/`timeout_seconds` options are
-/// the cooperative early-stop hooks the portfolio drives.
+/// This engine is the first stage of bg::verify::PortfolioCec, which
+/// falls through to SAT (sat/cec_sat.hpp) when simulation cannot decide;
+/// `cancel`/`timeout_seconds` are cooperative early-stop hooks.
 
 #include <atomic>
 #include <cstdint>
@@ -24,7 +23,7 @@
 namespace bg::aig {
 
 enum class CecVerdict {
-    Equivalent,          ///< proven (exhaustive simulation / BDD / SAT)
+    Equivalent,          ///< proven (exhaustive simulation / SAT)
     ProbablyEquivalent,  ///< no counterexample within the budget
     NotEquivalent,       ///< counterexample found (definitive)
 };
@@ -41,7 +40,7 @@ struct CecOptions {
     std::uint64_t seed = 0xB001'6EB2A;
     /// Cooperative cancellation: checked between simulation chunks; a set
     /// flag degrades the verdict to ProbablyEquivalent.  The pointee must
-    /// outlive the call (the portfolio prover owns it).
+    /// outlive the call.
     const std::atomic<bool>* cancel = nullptr;
     /// Wall-clock budget in seconds (0 = unlimited), checked at the same
     /// points as `cancel`.

@@ -328,7 +328,7 @@ FlowResult run_flow(const Aig& design, const BoolGebraModel& model,
         if (ctx.prover != nullptr) {
             res.verification = ctx.prover->check(design, best_graph);
         } else {
-            verify::PortfolioCec prover(cfg.verify_opts, ctx.pool);
+            verify::PortfolioCec prover(cfg.verify_opts);
             res.verification = prover.check(design, best_graph);
         }
     }

@@ -171,7 +171,7 @@ struct FlowContext {
     /// Shared portfolio prover for FlowConfig::verify (the FlowService
     /// passes its long-lived instance so the verdict cache spans jobs).
     /// Null + verify => run_flow builds a transient one from
-    /// cfg.verify_opts on the same pool.
+    /// cfg.verify_opts.
     verify::PortfolioCec* prover = nullptr;
 };
 

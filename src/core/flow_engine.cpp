@@ -125,7 +125,7 @@ DesignFlowResult run_design_flow(const DesignJob& job,
             if (prover != nullptr) {
                 res.verification = prover->check(job.design, current);
             } else {
-                verify::PortfolioCec local(flow_cfg.verify_opts, pool);
+                verify::PortfolioCec local(flow_cfg.verify_opts);
                 res.verification = local.check(job.design, current);
             }
         }

@@ -225,7 +225,9 @@ Aig read_bench_file(const std::filesystem::path& path) {
 
 void write_bench(const Aig& g_in, std::ostream& out) {
     const Aig g = g_in.compact();
-    const auto name_of = [&](aig::Var v) { return "n" + std::to_string(v); };
+    const auto name_of = [&](aig::Var v) {
+        return std::string("n").append(std::to_string(v));
+    };
     const auto lit_name = [&](Lit l, std::vector<bool>& inverted_emitted,
                               std::ostream& os) -> std::string {
         const aig::Var v = aig::lit_var(l);

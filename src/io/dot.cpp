@@ -20,7 +20,8 @@ void write_dot(const Aig& g, std::ostream& out) {
             << "\", shape=box];\n";
     }
     const auto node_name = [&](Var v) {
-        return v == 0 ? std::string("const0") : "n" + std::to_string(v);
+        return v == 0 ? std::string("const0")
+                      : std::string("n").append(std::to_string(v));
     };
     for (const Var v : g.topo_ands()) {
         out << "  n" << v << " [label=\"" << v << "\", shape=circle];\n";

@@ -4,17 +4,28 @@
 /// SAT-backed combinational equivalence checking: a definitive verdict
 /// for designs whose PI count is beyond exhaustive simulation.
 ///
-/// The core is *incremental*: one solver instance holds the shared-input
-/// miter, and the per-output XOR selectors are discharged one by one
-/// under assumptions, so learned clauses from output i prune the search
-/// for output i+1 (what makes multi-output miters cheap).  Every SAT
-/// counterexample is re-validated by simulating it against *all* output
-/// pairs before NotEquivalent is reported — validation doubles as
-/// counterexample reuse (a pattern found for output i refutes via any
-/// output it distinguishes), and a solver bug can never produce a false
-/// rejection: a counterexample that fails simulation degrades the verdict
-/// to ProbablyEquivalent (after a bounded re-solve with that input
-/// pattern blocked), it never throws.
+/// One solver instance holds the shared-input miter.  Before any output
+/// is solved, the check *sweeps* it the way ABC's `&cec` / fraiging does,
+/// as clauses on that one solver: both graphs are simulated on a fixed-
+/// seed random pattern set, each AND of `b` (in topological order) is
+/// paired with a node of `a` whose signature is equal up to complement,
+/// and each pair is proven by two small-budget assumption solves (or by
+/// a strash lookup in `a` when both fanins are merged already).  A
+/// proven pair adds x <-> y; a disproved pair's SAT model is simulated to
+/// split the remaining candidates; an unproven pair just stays unmerged,
+/// so the method stays complete.  Because BoolGebra's results are built
+/// from local, function-preserving rewrites, most nodes of the optimized
+/// graph have an equal in the input and the output solves become cheap.
+///
+/// The per-output XOR selectors are then discharged one by one under
+/// assumptions, so learned clauses from output i prune the search for
+/// output i+1.  Every SAT counterexample is re-validated by simulating
+/// it against *all* output pairs before NotEquivalent is reported —
+/// validation doubles as counterexample reuse (a pattern found for output
+/// i refutes via any output it distinguishes), and a solver bug can never
+/// produce a false rejection: a counterexample that fails simulation
+/// degrades the verdict to ProbablyEquivalent (after a bounded re-solve
+/// with that input pattern blocked), it never throws.
 
 #include <atomic>
 #include <vector>
@@ -25,9 +36,10 @@
 namespace bg::sat {
 
 struct SatCecOptions {
-    /// Lifetime conflict budget for the whole check, shared by every
-    /// per-output solve on the incremental instance; falls back to
-    /// ProbablyEquivalent when exhausted (< 0 = unlimited).
+    /// Lifetime conflict budget for the whole check, shared by the sweep
+    /// (which stops at half of it) and every per-output solve on the
+    /// incremental instance; falls back to ProbablyEquivalent when
+    /// exhausted (< 0 = unlimited).
     std::int64_t conflict_budget = 200000;
     /// Bounded re-solves after a spurious (simulation-refuted)
     /// counterexample: the offending input pattern — proven non-differing
@@ -53,6 +65,8 @@ struct SatCecStats {
     std::size_t outputs_proven = 0;  ///< per-output Unsat results
     std::size_t cex_found = 0;       ///< SAT models extracted
     std::size_t spurious_cex = 0;    ///< models that failed simulation
+    std::size_t pairs_tried = 0;     ///< sweep pairs solved or hash-merged
+    std::size_t pairs_proven = 0;    ///< sweep pairs merged (x <-> y)
     std::uint64_t conflicts = 0;     ///< solver conflicts spent
     std::size_t memory_bytes = 0;    ///< solver footprint estimate
     bool memory_limited = false;     ///< degraded by max_memory_bytes

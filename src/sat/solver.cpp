@@ -13,7 +13,8 @@ namespace {
 /// watcher-list headers (their elements are charged per clause).
 constexpr std::size_t kBytesPerVar =
     sizeof(std::int8_t) * 2 + sizeof(int) + sizeof(std::int32_t) +
-    sizeof(double) + 2 * sizeof(std::vector<int>);  // list headers
+    sizeof(double) + sizeof(Var) + sizeof(std::int32_t) +
+    sizeof(std::uint8_t) + 2 * sizeof(std::vector<int>);  // list headers
 
 /// Approximate footprint of one attached clause: header, literal
 /// storage, and its two watcher entries.
@@ -30,10 +31,71 @@ Var Solver::new_var() {
     level_.push_back(0);
     reason_.push_back(-1);
     activity_.push_back(0.0);
+    seen_.push_back(0);
+    heap_pos_.push_back(-1);
+    heap_insert(v);
     watches_.emplace_back();
     watches_.emplace_back();
     mem_bytes_ += kBytesPerVar;
     return v;
+}
+
+void Solver::heap_insert(Var v) {
+    if (heap_pos_[static_cast<std::size_t>(v)] >= 0) {
+        return;
+    }
+    heap_pos_[static_cast<std::size_t>(v)] =
+        static_cast<std::int32_t>(heap_.size());
+    heap_.push_back(v);
+    heap_up(heap_.size() - 1);
+}
+
+void Solver::heap_up(std::size_t i) {
+    const Var v = heap_[i];
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!heap_before(v, heap_[parent])) {
+            break;
+        }
+        heap_[i] = heap_[parent];
+        heap_pos_[static_cast<std::size_t>(heap_[i])] =
+            static_cast<std::int32_t>(i);
+        i = parent;
+    }
+    heap_[i] = v;
+    heap_pos_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(i);
+}
+
+void Solver::heap_down(std::size_t i) {
+    const Var v = heap_[i];
+    const std::size_t n = heap_.size();
+    while (2 * i + 1 < n) {
+        std::size_t child = 2 * i + 1;
+        if (child + 1 < n && heap_before(heap_[child + 1], heap_[child])) {
+            ++child;
+        }
+        if (!heap_before(heap_[child], v)) {
+            break;
+        }
+        heap_[i] = heap_[child];
+        heap_pos_[static_cast<std::size_t>(heap_[i])] =
+            static_cast<std::int32_t>(i);
+        i = child;
+    }
+    heap_[i] = v;
+    heap_pos_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(i);
+}
+
+Var Solver::heap_pop() {
+    const Var top = heap_.front();
+    heap_pos_[static_cast<std::size_t>(top)] = -1;
+    const Var last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+        heap_[0] = last;
+        heap_down(0);
+    }
+    return top;
 }
 
 bool Solver::add_clause(std::vector<Lit> lits) {
@@ -156,10 +218,15 @@ std::int32_t Solver::propagate() {
 void Solver::bump(Var v) {
     activity_[static_cast<std::size_t>(v)] += var_inc_;
     if (activity_[static_cast<std::size_t>(v)] > 1e100) {
+        // Uniform rescale: the heap order is unchanged.
         for (auto& a : activity_) {
             a *= 1e-100;
         }
         var_inc_ *= 1e-100;
+    }
+    const std::int32_t pos = heap_pos_[static_cast<std::size_t>(v)];
+    if (pos >= 0) {
+        heap_up(static_cast<std::size_t>(pos));
     }
 }
 
@@ -167,7 +234,7 @@ void Solver::analyze(std::int32_t conflict, std::vector<Lit>& learned,
                      int& backtrack_level) {
     learned.clear();
     learned.push_back(0);  // slot for the asserting literal
-    std::vector<bool> seen(static_cast<std::size_t>(num_vars()), false);
+    auto& seen = seen_;
     int counter = 0;
     Lit p = -1;
     std::size_t index = trail_.size();
@@ -181,9 +248,9 @@ void Solver::analyze(std::int32_t conflict, std::vector<Lit>& learned,
                 continue;
             }
             const Var v = lit_var(q);
-            if (!seen[static_cast<std::size_t>(v)] &&
+            if (seen[static_cast<std::size_t>(v)] == 0 &&
                 level_[static_cast<std::size_t>(v)] > 0) {
-                seen[static_cast<std::size_t>(v)] = true;
+                seen[static_cast<std::size_t>(v)] = 1;
                 bump(v);
                 if (level_[static_cast<std::size_t>(v)] >= decision_level()) {
                     ++counter;
@@ -193,16 +260,22 @@ void Solver::analyze(std::int32_t conflict, std::vector<Lit>& learned,
             }
         }
         // Find the next seen literal on the trail.
-        while (!seen[static_cast<std::size_t>(lit_var(trail_[index - 1]))]) {
+        while (seen[static_cast<std::size_t>(lit_var(trail_[index - 1]))] ==
+               0) {
             --index;
         }
         --index;
         p = trail_[index];
-        seen[static_cast<std::size_t>(lit_var(p))] = false;
+        seen[static_cast<std::size_t>(lit_var(p))] = 0;
         reason = reason_[static_cast<std::size_t>(lit_var(p))];
         --counter;
     } while (counter > 0);
     learned[0] = lit_neg(p);
+    // Current-level flags were cleared on the trail walk; the rest belong
+    // to the learned clause's lower-level literals.
+    for (std::size_t i = 1; i < learned.size(); ++i) {
+        seen[static_cast<std::size_t>(lit_var(learned[i]))] = 0;
+    }
 
     // Backtrack to the second-highest level in the learned clause.
     backtrack_level = 0;
@@ -230,6 +303,7 @@ void Solver::backtrack(int target_level) {
         const Var v = lit_var(trail_[i]);
         assigns_[static_cast<std::size_t>(v)] = 2;
         reason_[static_cast<std::size_t>(v)] = -1;
+        heap_insert(v);
     }
     trail_.resize(lim);
     trail_lim_.resize(static_cast<std::size_t>(target_level));
@@ -237,21 +311,13 @@ void Solver::backtrack(int target_level) {
 }
 
 Lit Solver::pick_branch() {
-    // Linear activity scan — simple and adequate at this library's miter
-    // sizes (a few thousand variables).
-    Var best = -1;
-    double best_act = -1.0;
-    for (Var v = 0; v < num_vars(); ++v) {
-        if (assigns_[static_cast<std::size_t>(v)] == 2 &&
-            activity_[static_cast<std::size_t>(v)] > best_act) {
-            best_act = activity_[static_cast<std::size_t>(v)];
-            best = v;
+    while (!heap_.empty()) {
+        const Var v = heap_pop();
+        if (assigns_[static_cast<std::size_t>(v)] == 2) {
+            return mk_lit(v, phase_[static_cast<std::size_t>(v)] == 0);
         }
     }
-    if (best < 0) {
-        return -1;
-    }
-    return mk_lit(best, phase_[static_cast<std::size_t>(best)] == 0);
+    return -1;
 }
 
 Result Solver::solve(const std::vector<Lit>& assumptions,
@@ -304,19 +370,18 @@ Result Solver::solve(const std::vector<Lit>& assumptions,
                 backtrack(0);
                 return Result::Unknown;
             }
-            std::vector<Lit> learned;
             int bt_level = 0;
-            analyze(conflict, learned, bt_level);
+            analyze(conflict, learned_, bt_level);
             backtrack(bt_level);
-            if (learned.size() == 1) {
-                enqueue(learned[0], -1);
+            if (learned_.size() == 1) {
+                enqueue(learned_[0], -1);
             } else {
-                mem_bytes_ += clause_bytes(learned.size());
-                clauses_.push_back(Clause{learned, true});
+                mem_bytes_ += clause_bytes(learned_.size());
+                clauses_.push_back(Clause{learned_, true});
                 const auto ci =
                     static_cast<std::int32_t>(clauses_.size()) - 1;
                 attach(ci);
-                enqueue(learned[0], ci);
+                enqueue(learned_[0], ci);
             }
             decay();
             continue;
@@ -334,6 +399,7 @@ Result Solver::solve(const std::vector<Lit>& assumptions,
         for (const Lit a : assumptions) {
             const auto val = value(a);
             if (val == 0) {
+                backtrack(0);
                 return Result::Unsat;  // assumption falsified
             }
             if (val == 2) {

@@ -2,10 +2,10 @@
 
 /// \file solver.hpp
 /// A compact CDCL SAT solver (two-watched literals, 1UIP clause learning,
-/// VSIDS-style activities, phase saving, geometric restarts) — the engine
-/// behind SAT-based combinational equivalence checking.  Deliberately
-/// minimal: no clause-database reduction or preprocessing; miters from
-/// this library's circuit sizes are comfortably in range.
+/// VSIDS activities on a binary heap, phase saving, geometric restarts) —
+/// the engine behind SAT-based combinational equivalence checking.
+/// Deliberately minimal: no clause-database reduction or preprocessing;
+/// miters from this library's circuit sizes are comfortably in range.
 
 #include <cstdint>
 #include <functional>
@@ -44,14 +44,16 @@ public:
     /// Solve under optional assumptions.  `conflict_budget` < 0 means
     /// unlimited; the budget counts *lifetime* conflicts, so incremental
     /// callers share one budget across a sequence of solve() calls.
+    /// Every result (including Unsat on a falsified assumption) leaves the
+    /// solver at decision level 0, so add_clause() may follow any solve().
     Result solve(const std::vector<Lit>& assumptions = {},
                  std::int64_t conflict_budget = -1);
 
     /// Cooperative interruption: `cb` is polled every few hundred
     /// conflicts (and at restarts); returning true makes the current and
     /// any later solve() return Result::Unknown.  Pass nullptr to clear.
-    /// The portfolio prover uses this for early-cancel and wall-clock
-    /// timeouts.
+    /// The SAT equivalence checker uses this for cancellation and
+    /// wall-clock timeouts.
     void set_interrupt(std::function<bool()> cb) {
         interrupt_ = std::move(cb);
     }
@@ -102,6 +104,19 @@ private:
     Lit pick_branch();
     void bump(Var v);
     void decay() { var_inc_ /= 0.95; }
+    // Decision heap: a binary max-heap of variables ordered by activity,
+    // ties to the lower index (the order a linear activity scan picks).
+    // Assigned variables are dropped lazily by pick_branch() and
+    // re-inserted when backtracking unassigns them.
+    bool heap_before(Var a, Var b) const {
+        const double aa = activity_[static_cast<std::size_t>(a)];
+        const double ab = activity_[static_cast<std::size_t>(b)];
+        return aa > ab || (aa == ab && a < b);
+    }
+    void heap_insert(Var v);
+    void heap_up(std::size_t i);
+    void heap_down(std::size_t i);
+    Var heap_pop();
     int decision_level() const { return static_cast<int>(trail_lim_.size()); }
     void attach(std::int32_t ci);
 
@@ -116,6 +131,10 @@ private:
     std::size_t qhead_ = 0;
     std::vector<double> activity_;
     double var_inc_ = 1.0;
+    std::vector<Var> heap_;
+    std::vector<std::int32_t> heap_pos_;  // index in heap_, -1 if absent
+    std::vector<std::uint8_t> seen_;      // analyze() marks; 0 between calls
+    std::vector<Lit> learned_;            // analyze() output buffer
     std::vector<std::int8_t> model_;
     bool unsat_ = false;
     std::function<bool()> interrupt_;

@@ -160,7 +160,7 @@ std::string FactorForm::to_string() const {
         if (v < 26) {
             return std::string(1, static_cast<char>('a' + v));
         }
-        return "x" + std::to_string(v);
+        return std::string(1, 'x').append(std::to_string(v));
     };
     std::function<std::string(int, bool)> render =
         [&](int i, bool parent_and) -> std::string {
@@ -174,7 +174,8 @@ std::string FactorForm::to_string() const {
             case FactorNode::Kind::Const1:
                 return "1";
             case FactorNode::Kind::Lit:
-                return (node.negated ? "!" : "") + var_name(node.var);
+                return std::string(node.negated ? "!" : "")
+                    .append(var_name(node.var));
             case FactorNode::Kind::And:
                 return render(node.left, true) + render(node.right, true);
             case FactorNode::Kind::Or: {

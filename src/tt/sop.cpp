@@ -53,13 +53,10 @@ std::string Sop::to_string() const {
         return "0";
     }
     const auto var_name = [](unsigned v) {
-        std::string s;
         if (v < 26) {
-            s += static_cast<char>('a' + v);
-        } else {
-            s = "x" + std::to_string(v);
+            return std::string(1, static_cast<char>('a' + v));
         }
-        return s;
+        return std::string(1, 'x').append(std::to_string(v));
     };
     std::string out;
     for (std::size_t i = 0; i < cubes_.size(); ++i) {
@@ -75,7 +72,8 @@ std::string Sop::to_string() const {
             if ((c.pos >> v) & 1U) {
                 out += var_name(v);
             } else if ((c.neg >> v) & 1U) {
-                out += "!" + var_name(v);
+                out += '!';
+                out += var_name(v);
             }
         }
     }

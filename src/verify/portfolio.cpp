@@ -1,6 +1,5 @@
 #include "verify/portfolio.hpp"
 
-#include <array>
 #include <chrono>
 #include <utility>
 
@@ -44,8 +43,8 @@ std::size_t PortfolioCec::CacheKeyHash::operator()(const CacheKey& k) const {
     return static_cast<std::size_t>(mix64(k.fp_a ^ mix64(k.fp_b)));
 }
 
-PortfolioCec::PortfolioCec(PortfolioOptions opts, ThreadPool* pool)
-    : opts_(std::move(opts)), pool_(pool) {}
+PortfolioCec::PortfolioCec(PortfolioOptions opts, ThreadPool* /*pool*/)
+    : opts_(std::move(opts)) {}
 
 bool PortfolioCec::cache_get(const CacheKey& key, VerifyReport& out) {
     cache_lookups_.fetch_add(1, std::memory_order_relaxed);
@@ -146,95 +145,35 @@ VerifyReport PortfolioCec::check(const aig::Aig& a, const aig::Aig& b) {
         }
     }
 
-    // Counterexample-guided simulation: earlier refutations with this PI
-    // width are simulated before any random budget (lifetime spans the
-    // race below — for_each joins every engine before `seeds` dies).
-    const std::vector<std::vector<bool>> seeds =
-        opts_.cex_pool_capacity > 0 ? seed_patterns(a.num_pis())
-                                    : std::vector<std::vector<bool>>{};
-
-    // The race: one shared cancel flag, first definitive verdict wins via
-    // CAS and cancels the others.  Engine outcomes land in per-engine
-    // slots; for_each joins every iteration before we read them.
-    std::atomic<bool> cancel{false};
-    std::atomic<int> winner{-1};
-    struct Outcome {
-        aig::CecVerdict verdict = aig::CecVerdict::ProbablyEquivalent;
-        std::vector<bool> counterexample;
-    };
-    std::array<Outcome, 3> outcomes;
-    constexpr std::array<Engine, 3> kEngines = {
-        Engine::Simulation, Engine::Bdd, Engine::Sat};
-
-    const auto engine_timeout = [this](double own) {
+    const auto timeout = [this](double own) {
         return own > 0.0 ? own : opts_.engine_timeout_seconds;
     };
 
-    const auto run_engine = [&](std::size_t idx) {
-        if (cancel.load(std::memory_order_relaxed)) {
-            return;  // raced after a definitive verdict: nothing to do
-        }
-        Outcome& out = outcomes[idx];
-        switch (kEngines[idx]) {
-            case Engine::Simulation: {
-                aig::CecOptions o = opts_.sim;
-                o.cancel = &cancel;
-                o.timeout_seconds = engine_timeout(o.timeout_seconds);
-                if (!seeds.empty() && o.seed_patterns == nullptr) {
-                    o.seed_patterns = &seeds;
-                }
-                auto r = aig::check_equivalence_full(a, b, o);
-                out.verdict = r.verdict;
-                out.counterexample = std::move(r.counterexample);
-                break;
-            }
-            case Engine::Bdd: {
-                bdd::BddCecOptions o = opts_.bdd;
-                o.cancel = &cancel;
-                o.timeout_seconds = engine_timeout(o.timeout_seconds);
-                auto r = bdd::check_equivalence_bdd_full(a, b, o);
-                out.verdict = r.verdict;
-                out.counterexample = std::move(r.counterexample);
-                break;
-            }
-            case Engine::Sat: {
-                sat::SatCecOptions o = opts_.sat;
-                o.cancel = &cancel;
-                o.timeout_seconds = engine_timeout(o.timeout_seconds);
-                auto r = sat::check_equivalence_sat_full(a, b, o);
-                out.verdict = r.verdict;
-                out.counterexample = std::move(r.counterexample);
-                break;
-            }
-            default:
-                break;
-        }
-        if (is_definitive(out.verdict)) {
-            int expected = -1;
-            if (winner.compare_exchange_strong(
-                    expected, static_cast<int>(idx),
-                    std::memory_order_acq_rel)) {
-                cancel.store(true, std::memory_order_relaxed);
-            }
-        }
-    };
+    // Simulation, counterexample-guided: earlier refutations with this PI
+    // width are simulated before any random budget.
+    const std::vector<std::vector<bool>> seeds =
+        opts_.cex_pool_capacity > 0 ? seed_patterns(a.num_pis())
+                                    : std::vector<std::vector<bool>>{};
+    aig::CecOptions sim = opts_.sim;
+    sim.timeout_seconds = timeout(sim.timeout_seconds);
+    if (!seeds.empty() && sim.seed_patterns == nullptr) {
+        sim.seed_patterns = &seeds;
+    }
+    auto sim_result = aig::check_equivalence_full(a, b, sim);
+    report.verdict = sim_result.verdict;
+    report.engine = Engine::Simulation;
+    report.counterexample = std::move(sim_result.counterexample);
 
-    if (pool_ != nullptr) {
-        // Nesting-safe: the caller participates, so this works even from
-        // inside a job on the same pool (serving threads verify in-line).
-        pool_->for_each(kEngines.size(), run_engine);
-    } else {
-        for (std::size_t i = 0; i < kEngines.size(); ++i) {
-            run_engine(i);  // sequential; cancel short-circuits the rest
-        }
+    if (!is_definitive(report.verdict)) {
+        sat::SatCecOptions sat = opts_.sat;
+        sat.timeout_seconds = timeout(sat.timeout_seconds);
+        auto sat_result = sat::check_equivalence_sat_full(a, b, sat);
+        report.verdict = sat_result.verdict;
+        report.engine = Engine::Sat;
+        report.counterexample = std::move(sat_result.counterexample);
     }
 
-    const int w = winner.load(std::memory_order_acquire);
-    if (w >= 0) {
-        report.verdict = outcomes[static_cast<std::size_t>(w)].verdict;
-        report.engine = kEngines[static_cast<std::size_t>(w)];
-        report.counterexample = std::move(
-            outcomes[static_cast<std::size_t>(w)].counterexample);
+    if (is_definitive(report.verdict)) {
         if (use_cache) {
             cache_put(key, report);
         }
@@ -243,7 +182,7 @@ VerifyReport PortfolioCec::check(const aig::Aig& a, const aig::Aig& b) {
             pool_counterexample(a.num_pis(), report.counterexample);
         }
     } else {
-        // Every engine degraded within its budget: honest "probably".
+        // Both engines degraded within their budgets: honest "probably".
         report.verdict = aig::CecVerdict::ProbablyEquivalent;
         report.engine = Engine::None;
     }

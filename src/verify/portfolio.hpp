@@ -1,18 +1,19 @@
 #pragma once
 
 /// \file portfolio.hpp
-/// Portfolio combinational equivalence checking: race the three CEC back
-/// ends — random simulation (aig/cec.hpp), BDD (bdd/cec_bdd.hpp) and SAT
-/// (sat/cec_sat.hpp) — and take the first *definitive* verdict.
+/// Portfolio combinational equivalence checking: one sequential pipeline
+/// on the calling thread — verdict cache, then simulation (aig/cec.hpp),
+/// then SAT (sat/cec_sat.hpp) — stopping at the first *definitive*
+/// verdict.
 ///
-/// The engines have complementary strengths: simulation refutes buggy
-/// rewrites in microseconds but can only ever prove "probably equivalent"
-/// past the exhaustive bound; BDDs prove small-to-medium control logic
-/// instantly but blow up on multipliers; SAT handles what BDDs cannot but
-/// pays per-output solving cost.  Racing all three under one cancel flag
-/// gets the best of each: the first Equivalent / NotEquivalent wins and
-/// cancels the rest; if every engine degrades within its budget the
-/// portfolio reports ProbablyEquivalent honestly (never upgraded).
+/// Simulation is exact up to the exhaustive PI bound and otherwise
+/// refutes buggy rewrites in microseconds (counterexamples pooled from
+/// earlier jobs are simulated first), but past the bound it can only say
+/// "probably equivalent".  The SAT engine sweeps the miter node by node
+/// before solving the outputs, which proves the optimized graphs this
+/// library produces in milliseconds.  If both engines degrade within
+/// their budgets the pipeline reports ProbablyEquivalent honestly (never
+/// upgraded).
 ///
 /// Verdicts for structurally identical queries are served from a small
 /// FIFO cache keyed on the pair of structural fingerprints
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "aig/cec.hpp"
-#include "bdd/cec_bdd.hpp"
 #include "sat/cec_sat.hpp"
 #include "util/parallel.hpp"
 
@@ -41,19 +41,17 @@ namespace bg::verify {
 enum class Engine {
     None,        ///< cache miss degraded / zero-engine edge cases
     Simulation,  ///< word-parallel random or exhaustive simulation
-    Bdd,         ///< canonical ROBDD comparison
-    Sat,         ///< incremental SAT on the shared miter
+    Bdd,         ///< retired (the BDD engine is gone); never produced
+    Sat,         ///< swept incremental SAT on the shared miter
     Cache,       ///< served from the result cache
 };
 
 std::string to_string(Engine e);
 
 struct PortfolioOptions {
-    /// Per-engine budgets.  Each engine's own cancel pointer and
-    /// timeout_seconds are overwritten by the portfolio (it owns the race
-    /// flag); a zero per-engine timeout inherits engine_timeout_seconds.
+    /// Per-engine budgets.  A zero per-engine timeout inherits
+    /// engine_timeout_seconds; a caller-set cancel pointer is honoured.
     aig::CecOptions sim;
-    bdd::BddCecOptions bdd;
     sat::SatCecOptions sat;
     /// Default wall-clock budget per engine, in seconds (0 = unlimited).
     double engine_timeout_seconds = 30.0;
@@ -62,8 +60,8 @@ struct PortfolioOptions {
     /// FIFO capacity of the verdict cache.
     std::size_t cache_capacity = 4096;
     /// Per-PI-count capacity of the cross-job counterexample pool (0
-    /// disables pooling).  Every definitive refutation's witness — SAT,
-    /// BDD or simulation, fresh or cache-served — is pooled and fed back
+    /// disables pooling).  Every definitive refutation's witness — SAT or
+    /// simulation, fresh or cache-served — is pooled and fed back
     /// into the simulation engine as seed patterns on later jobs with the
     /// same PI count, so a recurring bug is refuted by simulation before
     /// any random budget is spent.
@@ -79,7 +77,7 @@ struct VerifyReport {
     double seconds = 0.0;
     bool from_cache = false;
     /// Differing PI assignment; non-empty exactly when the verdict is
-    /// NotEquivalent and the winning engine produced a witness (cached
+    /// NotEquivalent and the deciding engine produced a witness (cached
     /// refutations keep the witness from the original run).
     std::vector<bool> counterexample;
 };
@@ -89,15 +87,12 @@ struct VerifyReport {
 /// calls are safe and share the verdict cache.
 class PortfolioCec {
 public:
-    /// `pool` is the shared worker pool used to race the engines; pass
-    /// nullptr to run them sequentially (sim, then BDD, then SAT — still
-    /// short-circuiting on the first definitive verdict).  The pool's
-    /// for_each is nesting-safe, so check() may be called from inside a
-    /// job running on the same pool.
+    /// `pool` is unused: check() runs on the calling thread.  The
+    /// parameter is kept for source compatibility with existing callers.
     explicit PortfolioCec(PortfolioOptions opts = {},
                           ThreadPool* pool = nullptr);
 
-    /// Race the engines on the (a, b) miter.  Throws ContractViolation
+    /// Run the pipeline on the (a, b) miter.  Throws ContractViolation
     /// when the PI/PO interfaces differ; never throws from a verdict
     /// path.
     VerifyReport check(const aig::Aig& a, const aig::Aig& b);
@@ -138,7 +133,6 @@ private:
                              const std::vector<bool>& cex);
 
     PortfolioOptions opts_;
-    ThreadPool* pool_ = nullptr;
 
     mutable std::mutex cache_mu_;
     std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;

@@ -16,6 +16,7 @@
 
 #include "circuits/registry.hpp"
 #include "core/flow_service.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -131,8 +132,7 @@ TEST(FlowService, DrainUnderConcurrentProducers) {
                 bg::circuits::make_benchmark_scaled("b09", 0.3);
             for (std::size_t j = 0; j < kJobsEach; ++j) {
                 (void)service.submit(
-                    {"p" + std::to_string(p) + "-" + std::to_string(j),
-                     design});
+                    {bg::test::job_name("p", p, j), design});
             }
         });
     }

@@ -4,6 +4,7 @@
 /// *semantic* redundancy (structural hashing cannot see it) so rewrite /
 /// resub / refactor have something real to find.
 
+#include <string>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -26,6 +27,18 @@ inline constexpr double kSanitizerSlowdown = 4.0;
 #else
 inline constexpr double kSanitizerSlowdown = 1.0;
 #endif
+
+/// Job name "<prefix><p>-<j>", built by appending.  GCC 12 at -O3 warns
+/// (-Wrestrict, a false positive from inlined char_traits code) on the
+/// chained `"p" + std::to_string(p) + "-" + ...` form.
+inline std::string job_name(const char* prefix, std::size_t p,
+                            std::size_t j) {
+    std::string name = prefix;
+    name += std::to_string(p);
+    name += '-';
+    name += std::to_string(j);
+    return name;
+}
 
 using aig::Aig;
 using aig::Lit;

@@ -17,6 +17,7 @@
 #include "core/features.hpp"
 #include "core/model.hpp"
 #include "core/sampling.hpp"
+#include "model_test_helpers.hpp"
 #include "opt/orchestrate.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -27,6 +28,7 @@ using namespace bg::core;  // NOLINT: test brevity
 using bg::nn::ConstMatrixView;
 using bg::nn::Csr;
 using bg::nn::Matrix;
+using bg::test::perturb_params;
 
 /// Hand-built graph: a path over the even nodes, a hub, and every node
 /// whose index is 1 mod 4 isolated (degree 0, the dead-slot shape).
@@ -89,17 +91,6 @@ void set_random_stats(BoolGebraModel& model, bg::Rng& rng) {
         stddev[j] = 0.5F + 3.0F * rng.next_float();
     }
     model.set_input_stats(std::move(mean), std::move(stddev));
-}
-
-/// Moves every parameter off its initial value (biases and BatchNorm
-/// shifts start at exactly zero, which would hide a reordered bias add),
-/// the way training does.
-void perturb_params(BoolGebraModel& model, bg::Rng& rng) {
-    for (const auto& p : model.params()) {
-        for (std::size_t i = 0; i < p.size; ++i) {
-            p.value[i] += 0.2F * rng.next_float() - 0.1F;
-        }
-    }
 }
 
 bool bits_equal(const double a, const double b) {

@@ -7,6 +7,8 @@
 #include "core/model.hpp"
 #include "core/sampling.hpp"
 #include "core/trainer.hpp"
+#include "model_test_helpers.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -48,6 +50,30 @@ TEST(Model, DeterministicInference) {
     std::vector<std::size_t> idx{0, 1, 2, 3};
     EXPECT_EQ(a.predict(ds, idx), b.predict(ds, idx))
         << "same seed must give identical weights and predictions";
+}
+
+TEST(Model, EvalPathMatchesForwardWithPerturbedParams) {
+    // predict() runs the fused per-sample trunk; forward(train=false) the
+    // batched GEMM path.  Perturbed parameters make biases and BatchNorm
+    // shifts nonzero, so a reordered bias add shows up here.
+    const Dataset ds = tiny_dataset(6);
+    BoolGebraModel model(tiny_config());
+    bg::Rng rng(31);
+    bg::test::perturb_params(model, rng);
+    bg::nn::Matrix x(6 * ds.num_nodes(), feature_dim);
+    std::vector<std::size_t> idx;
+    for (std::size_t s = 0; s < 6; ++s) {
+        const auto& feats = ds.samples()[s].features;
+        std::copy(feats.begin(), feats.end(), x.row(s * ds.num_nodes()));
+        idx.push_back(s);
+    }
+    const auto ref = model.forward(x, ds.csr(), 6, /*train=*/false);
+    const auto preds = model.predict(ds, idx);
+    ASSERT_EQ(preds.size(), 6u);
+    for (std::size_t s = 0; s < preds.size(); ++s) {
+        EXPECT_EQ(preds[s], static_cast<double>(ref.at(s, 0)))
+            << "sample " << s;
+    }
 }
 
 TEST(Model, ParameterCountMatchesArchitecture) {

@@ -11,6 +11,7 @@
 #include "core/model.hpp"
 #include "core/sampling.hpp"
 #include "core/trainer.hpp"
+#include "model_test_helpers.hpp"
 #include "nn/loss.hpp"
 #include "opt/objective.hpp"
 #include "util/contracts.hpp"
@@ -116,7 +117,9 @@ TEST(MultiHead, ForwardIsOneColumnPerHead) {
 
 TEST(MultiHead, PredictBatchHeadSelectsColumns) {
     const Dataset ds = tiny_dataset(6);
-    const BoolGebraModel model(tiny_config(all_heads()));
+    BoolGebraModel model(tiny_config(all_heads()));
+    bg::Rng rng(29);
+    bg::test::perturb_params(model, rng);  // nonzero biases and shifts
     nn::Matrix stacked(6 * ds.num_nodes(), feature_dim);
     for (std::size_t s = 0; s < 6; ++s) {
         const auto& feats = ds.samples()[s].features;
@@ -127,6 +130,19 @@ TEST(MultiHead, PredictBatchHeadSelectsColumns) {
         model.predict_batch_head(ds.csr(), ds.num_nodes(), stacked, 0);
     const auto head1 =
         model.predict_batch_head(ds.csr(), ds.num_nodes(), stacked, 1);
+    // The eval path is the batched forward(train=false), column by
+    // column, bit for bit.
+    const auto ref = model.forward(stacked, ds.csr(), 6, /*train=*/false);
+    ASSERT_EQ(ref.cols(), 3u);
+    for (std::size_t h = 0; h < ref.cols(); ++h) {
+        const auto col =
+            model.predict_batch_head(ds.csr(), ds.num_nodes(), stacked, h);
+        ASSERT_EQ(col.size(), 6u);
+        for (std::size_t s = 0; s < col.size(); ++s) {
+            EXPECT_EQ(col[s], static_cast<double>(ref.at(s, h)))
+                << "head " << h << " sample " << s;
+        }
+    }
     // predict_batch is the first head's column bit for bit.
     EXPECT_EQ(model.predict_batch(ds.csr(), ds.num_nodes(), stacked), head0);
     // Distinct output columns carry distinct final-layer weights.

@@ -130,6 +130,27 @@ TEST(Sat, AssumptionsRestrictModels) {
     EXPECT_EQ(s.solve(), Result::Sat);
 }
 
+TEST(Sat, AssumptionUnsatLeavesLevelZeroForAddClause) {
+    // x is assumed at level 1 and propagates !y, falsifying the second
+    // assumption.  The solver must return at level 0, so clauses can be
+    // added straight after (an incremental caller's usual next step).
+    Solver s;
+    const Var x = s.new_var();
+    const Var y = s.new_var();
+    const Var z = s.new_var();
+    EXPECT_TRUE(s.add_clause({mk_lit(x, true), mk_lit(y, true)}));
+    ASSERT_EQ(s.solve({mk_lit(x), mk_lit(y)}), Result::Unsat);
+    EXPECT_NO_THROW(EXPECT_TRUE(s.add_clause({mk_lit(z), mk_lit(x)})));
+    EXPECT_NO_THROW(EXPECT_TRUE(s.add_clause({mk_lit(x, true)})));
+    ASSERT_EQ(s.solve(), Result::Sat);
+    EXPECT_FALSE(s.model_value(x));
+    EXPECT_TRUE(s.model_value(z));
+    // Unsat after a conflict-driven search under assumptions, too.
+    EXPECT_EQ(s.solve({mk_lit(z, true)}), Result::Unsat);
+    EXPECT_NO_THROW(EXPECT_TRUE(s.add_clause({mk_lit(y), mk_lit(z)})));
+    EXPECT_EQ(s.solve(), Result::Sat);
+}
+
 TEST(Sat, ConflictBudgetReturnsUnknown) {
     // A hard pigeonhole with a tiny budget must give Unknown, not hang.
     const int n = 7;

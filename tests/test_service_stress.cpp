@@ -19,6 +19,7 @@
 
 #include "circuits/registry.hpp"
 #include "core/flow_service.hpp"
+#include "test_helpers.hpp"
 #include "util/cancel.hpp"
 
 namespace {
@@ -78,8 +79,7 @@ TEST(ServiceStress, ConcurrentSubmitCancelStatsSwap) {
                 opts.tenant = tenants[(p + j) % 3];
                 opts.cancel = std::make_shared<bg::CancelToken>();
                 auto fut = service.submit(
-                    {"p" + std::to_string(p) + "-" + std::to_string(j),
-                     design},
+                    {bg::test::job_name("p", p, j), design},
                     opts);
                 accepted.fetch_add(1, std::memory_order_relaxed);
                 const std::lock_guard<std::mutex> lock(mu);
@@ -183,8 +183,7 @@ TEST(ServiceStress, StopNowUnderConcurrentSubmitters) {
             for (std::size_t j = 0; j < 50; ++j) {
                 try {
                     auto fut = service.submit(
-                        {"s" + std::to_string(p) + "-" + std::to_string(j),
-                         design});
+                        {bg::test::job_name("s", p, j), design});
                     const std::lock_guard<std::mutex> lock(mu);
                     futures.push_back(std::move(fut));
                 } catch (const AdmissionError& e) {

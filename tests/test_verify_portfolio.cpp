@@ -1,19 +1,20 @@
 /// \file test_verify_portfolio.cpp
 /// The portfolio verification gate: engine-agreement matrix across
-/// sim/BDD/SAT/portfolio, degenerate interfaces (zero POs, constant POs,
-/// mismatched PI/PO preconditions), counterexample round-trips, the
-/// spurious-SAT-counterexample no-throw contract, exact simulation budget
-/// accounting, the verdict cache, and verification wired through
-/// run_flow / FlowEngine / FlowService.  Runs under the TSan CI job — the
-/// engine race shares one cancel flag and a caller-participating pool.
+/// sim/SAT/portfolio, the sequential pipeline's engine order, degenerate
+/// interfaces (zero POs, constant POs, mismatched PI/PO preconditions),
+/// counterexample round-trips, the spurious-SAT-counterexample no-throw
+/// contract, exact simulation budget accounting, the verdict cache, and
+/// verification wired through run_flow / FlowEngine / FlowService.  Runs
+/// under the TSan CI job — concurrent check() calls share the verdict
+/// cache and the counterexample pool.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 
 #include "aig/cec.hpp"
 #include "aig/simulation.hpp"
-#include "bdd/cec_bdd.hpp"
 #include "circuits/registry.hpp"
 #include "core/flow_engine.hpp"
 #include "core/flow_service.hpp"
@@ -86,13 +87,10 @@ TEST(PortfolioCecTest, EngineMatrixAgreesOnEquivalentPairs) {
         Aig optimized = original;
         (void)bg::opt::standalone_pass(optimized, bg::opt::OpKind::Rewrite);
 
-        // Exhaustive simulation (8 PIs), BDD and SAT must all prove it.
+        // Exhaustive simulation (8 PIs) and SAT must both prove it.
         EXPECT_EQ(check_equivalence(original, optimized),
                   CecVerdict::Equivalent)
             << "sim, seed " << seed;
-        EXPECT_EQ(bg::bdd::check_equivalence_bdd(original, optimized),
-                  CecVerdict::Equivalent)
-            << "bdd, seed " << seed;
         EXPECT_EQ(bg::sat::check_equivalence_sat(original, optimized),
                   CecVerdict::Equivalent)
             << "sat, seed " << seed;
@@ -100,7 +98,8 @@ TEST(PortfolioCecTest, EngineMatrixAgreesOnEquivalentPairs) {
         PortfolioCec prover;
         const auto report = prover.check(original, optimized);
         EXPECT_EQ(report.verdict, CecVerdict::Equivalent) << "seed " << seed;
-        EXPECT_NE(report.engine, Engine::None);
+        EXPECT_EQ(report.engine, Engine::Simulation)
+            << "exhaustive simulation decides 8 PIs before SAT runs";
     }
 }
 
@@ -111,9 +110,6 @@ TEST(PortfolioCecTest, EngineMatrixAgreesOnMutatedPairs) {
 
         EXPECT_EQ(check_equivalence(g, bad), CecVerdict::NotEquivalent)
             << "sim, seed " << seed;
-        EXPECT_EQ(bg::bdd::check_equivalence_bdd(g, bad),
-                  CecVerdict::NotEquivalent)
-            << "bdd, seed " << seed;
         EXPECT_EQ(bg::sat::check_equivalence_sat(g, bad),
                   CecVerdict::NotEquivalent)
             << "sat, seed " << seed;
@@ -125,9 +121,9 @@ TEST(PortfolioCecTest, EngineMatrixAgreesOnMutatedPairs) {
     }
 }
 
-TEST(PortfolioCecTest, WidePiDesignProvenByRace) {
-    // Past the exhaustive bound: only BDD or SAT can prove; the portfolio
-    // must return a definitive verdict either way.
+TEST(PortfolioCecTest, WidePiDesignProvenBySat) {
+    // Past the exhaustive bound simulation can only say "probably", so
+    // the pipeline falls through to SAT, which must prove the pair.
     const Aig original = bg::circuits::make_benchmark_scaled("b07", 0.5);
     ASSERT_GT(original.num_pis(), 14u);
     Aig optimized = original;
@@ -137,8 +133,8 @@ TEST(PortfolioCecTest, WidePiDesignProvenByRace) {
     PortfolioCec prover;
     const auto report = prover.check(original, optimized);
     EXPECT_EQ(report.verdict, CecVerdict::Equivalent);
-    EXPECT_TRUE(report.engine == Engine::Bdd || report.engine == Engine::Sat)
-        << "proof must come from a proving engine, got "
+    EXPECT_EQ(report.engine, Engine::Sat)
+        << "proof must come from SAT, got "
         << bg::verify::to_string(report.engine);
 }
 
@@ -153,7 +149,6 @@ TEST(PortfolioCecTest, ZeroPoDesignsAreTriviallyEquivalent) {
     b.and_(make_lit(b.pi(0)), make_lit(b.pi(1)));  // internal node, never observed
 
     EXPECT_EQ(bg::sat::check_equivalence_sat(a, b), CecVerdict::Equivalent);
-    EXPECT_EQ(bg::bdd::check_equivalence_bdd(a, b), CecVerdict::Equivalent);
     PortfolioCec prover;
     EXPECT_EQ(prover.check(a, b).verdict, CecVerdict::Equivalent);
 }
@@ -172,7 +167,6 @@ TEST(PortfolioCecTest, ConstantPos) {
         b.add_po(lit_true);
     }
     EXPECT_EQ(check_equivalence(a, b), CecVerdict::Equivalent);
-    EXPECT_EQ(bg::bdd::check_equivalence_bdd(a, b), CecVerdict::Equivalent);
     EXPECT_EQ(bg::sat::check_equivalence_sat(a, b), CecVerdict::Equivalent);
     PortfolioCec prover;
     EXPECT_EQ(prover.check(a, b).verdict, CecVerdict::Equivalent);
@@ -207,8 +201,8 @@ TEST(PortfolioCecTest, InterfaceMismatchThrows) {
 
 TEST(PortfolioCecTest, CounterexampleRoundTrips) {
     // Needle in 2^20: random simulation essentially never finds the
-    // single differing minterm, so the witness must come from a
-    // solver-grade engine (SAT model or BDD satisfying path).
+    // single differing minterm, so the witness must come from a SAT
+    // model.
     const unsigned n = 20;
     Aig g;
     g.add_po(g.and_reduce(g.add_pis(n)));
@@ -334,17 +328,6 @@ TEST(SatCecTest, PreSetCancelDegrades) {
               CecVerdict::ProbablyEquivalent);
 }
 
-TEST(BddCecTest, PreSetCancelDegrades) {
-    const Aig a = bg::circuits::make_benchmark_scaled("b09", 0.4);
-    Aig b = a;
-    (void)bg::opt::standalone_pass(b, bg::opt::OpKind::Rewrite);
-    std::atomic<bool> cancel{true};
-    bg::bdd::BddCecOptions opts;
-    opts.cancel = &cancel;
-    EXPECT_EQ(bg::bdd::check_equivalence_bdd(a, b, opts),
-              CecVerdict::ProbablyEquivalent);
-}
-
 TEST(PortfolioCecTest, AllEnginesExhaustedDegradesHonestly) {
     // Starve every engine: tiny budgets on a pair no engine can decide
     // that cheaply.  The portfolio must degrade, not guess.
@@ -354,7 +337,6 @@ TEST(PortfolioCecTest, AllEnginesExhaustedDegradesHonestly) {
     PortfolioOptions opts;
     opts.sim.random_words = 1;
     opts.sim.exhaustive_pi_limit = 0;
-    opts.bdd.node_limit = 8;
     opts.sat.conflict_budget = 0;
     const auto report = PortfolioCec(opts).check(a, b);
     EXPECT_EQ(report.verdict, CecVerdict::ProbablyEquivalent);
@@ -481,11 +463,11 @@ TEST(SimCec, SeedPatternsLeaveExhaustivePathAlone) {
 }
 
 TEST(PortfolioCecTest, PooledCounterexampleFlipsLaterSimVerdict) {
-    // Job 1: a 20-PI needle pair whose refutation needs a solver-grade
-    // engine (the sim engine is starved to one random word) — the witness
+    // Job 1: a 20-PI needle pair whose refutation needs SAT (the sim
+    // engine is starved to one random word) — the witness
     // lands in the cross-job pool.  Job 2: a structurally different pair
     // computing the same functions, so its fingerprints miss the verdict
-    // cache; the sequential portfolio runs simulation first, which now
+    // cache; the pipeline runs simulation first, which now
     // refutes immediately from the pooled seed — cached cex flips the
     // later sim verdict from Unknown to NotEquivalent.
     Aig g1;
@@ -497,7 +479,7 @@ TEST(PortfolioCecTest, PooledCounterexampleFlipsLaterSimVerdict) {
     PortfolioOptions opts;
     opts.sim.exhaustive_pi_limit = 0;
     opts.sim.random_words = 1;
-    PortfolioCec prover(opts);  // no pool: engines run sim -> BDD -> SAT
+    PortfolioCec prover(opts);
 
     const auto first = prover.check(g1, h1);
     ASSERT_EQ(first.verdict, CecVerdict::NotEquivalent);
@@ -528,7 +510,7 @@ TEST(PortfolioCecTest, PooledCounterexampleFlipsLaterSimVerdict) {
     EXPECT_FALSE(second.from_cache);
     ASSERT_EQ(second.verdict, CecVerdict::NotEquivalent);
     EXPECT_EQ(second.engine, Engine::Simulation)
-        << "the pooled seed must refute before BDD/SAT even run";
+        << "the pooled seed must refute before SAT even runs";
     EXPECT_TRUE(cex_distinguishes(g2, h2, second.counterexample));
 
     // The recurring witness deduplicates instead of growing the pool.
@@ -594,28 +576,46 @@ TEST(PortfolioCecTest, CexPoolEvictsFifoAtCapacity) {
 }
 
 // ---------------------------------------------------------------------
-// Racing on the shared pool (TSan coverage)
+// The sequential pipeline (TSan coverage)
 
-TEST(PortfolioCecTest, PooledRaceMatchesSequential) {
+TEST(PortfolioCecTest, PoolArgumentDoesNotChangeReports) {
+    // The pool parameter is kept for callers only: a prover given one
+    // runs the same pipeline on the calling thread.
     bg::ThreadPool pool(3);
-    PortfolioCec pooled({}, &pool);
-    PortfolioCec sequential({}, nullptr);
+    PortfolioCec with_pool({}, &pool);
+    PortfolioCec without({}, nullptr);
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         const Aig g = bg::test::redundant_aig(8, 26, 2, seed).compact();
         Aig opt = g;
         (void)bg::opt::standalone_pass(opt, bg::opt::OpKind::Rewrite);
-        EXPECT_EQ(pooled.check(g, opt).verdict,
-                  sequential.check(g, opt).verdict);
         const Aig bad = flip_first_po(g);
-        EXPECT_EQ(pooled.check(g, bad).verdict,
-                  sequential.check(g, bad).verdict);
+        const std::array<const Aig*, 2> others = {&opt, &bad};
+        for (const Aig* other : others) {
+            const auto p = with_pool.check(g, *other);
+            const auto q = without.check(g, *other);
+            EXPECT_EQ(p.verdict, q.verdict) << "seed " << seed;
+            EXPECT_EQ(p.engine, q.engine) << "seed " << seed;
+            EXPECT_EQ(p.counterexample, q.counterexample) << "seed " << seed;
+        }
     }
 }
 
-TEST(PortfolioCecTest, CheckFromInsidePoolJobDoesNotDeadlock) {
-    // The serving pattern: verification runs inside a job on the same
-    // pool that races the engines.  Saturate a 2-thread pool with jobs
-    // that each verify — caller participation must keep this live.
+TEST(PortfolioCecTest, SimulationRefutesWideDesignBeforeSat) {
+    // A flipped output differs on half of all inputs: random simulation
+    // refutes it, so SAT never runs.
+    const Aig design = bg::circuits::make_benchmark_scaled("b07", 0.5);
+    ASSERT_GT(design.num_pis(), 14u);
+    const Aig bad = flip_first_po(design);
+    PortfolioCec prover;
+    const auto report = prover.check(design, bad);
+    ASSERT_EQ(report.verdict, CecVerdict::NotEquivalent);
+    EXPECT_EQ(report.engine, Engine::Simulation);
+    EXPECT_TRUE(cex_distinguishes(design, bad, report.counterexample));
+}
+
+TEST(PortfolioCecTest, ConcurrentChecksFromPoolJobsAgree) {
+    // The serving pattern: every serving task verifies on its own thread
+    // against one shared prover (cache and counterexample pool).
     bg::ThreadPool pool(2);
     PortfolioCec prover({}, &pool);
     const Aig g = bg::test::redundant_aig(8, 24, 2, 7).compact();
